@@ -9,6 +9,7 @@
 #include "src/geometry/edge_slab_index.h"
 #include "src/geometry/prepared_polygon.h"
 #include "src/geometry/segment.h"
+#include "src/util/check.h"
 
 namespace stj::de9im {
 
@@ -25,56 +26,101 @@ double ParamOnSegment(const Point& p, const Point& a, const Point& b) {
   return (p.y - a.y) / dy;
 }
 
-// Per-edge split bookkeeping accumulated during intersection discovery.
-// This is the only per-pair state of the arrangement; the edge arrays and
-// slab index come from the (possibly cached) PreparedPolygons.
-struct EdgeSplits {
-  std::vector<std::pair<double, Point>> cuts;            // t in (0,1)
-  std::vector<std::pair<double, double>> shared_ranges;  // collinear overlaps
+// One split point of an edge, found during intersection discovery.
+struct Cut {
+  uint32_t edge;
+  double t;  // in (0, 1)
+  Point p;
 };
 
-void RecordCut(EdgeSplits* splits, double t, const Point& p) {
-  if (t > 0.0 && t < 1.0) splits->cuts.emplace_back(t, p);
+// One collinear overlap [t0, t1] of an edge with the other boundary.
+struct SharedRange {
+  uint32_t edge;
+  double t0;
+  double t1;
+};
+
+// The per-pair split bookkeeping of one side, as flat records sorted once by
+// edge at emission. This is the only per-pair state of the arrangement; the
+// edge arrays and slab indexes come from the (possibly cached)
+// PreparedPolygons.
+struct SideSplits {
+  std::vector<Cut> cuts;
+  std::vector<SharedRange> shared;
+};
+
+void RecordCut(SideSplits* splits, uint32_t edge, double t, const Point& p) {
+  if (t > 0.0 && t < 1.0) splits->cuts.push_back(Cut{edge, t, p});
 }
 
-void RecordShared(EdgeSplits* splits, double t0, const Point& p0, double t1,
-                  const Point& p1) {
+void RecordShared(SideSplits* splits, uint32_t edge, double t0,
+                  const Point& p0, double t1, const Point& p1) {
   if (t0 > t1) {
-    RecordShared(splits, t1, p1, t0, p0);
+    RecordShared(splits, edge, t1, p1, t0, p0);
     return;
   }
-  RecordCut(splits, t0, p0);
-  RecordCut(splits, t1, p1);
-  splits->shared_ranges.emplace_back(t0, t1);
+  RecordCut(splits, edge, t0, p0);
+  RecordCut(splits, edge, t1, p1);
+  splits->shared.push_back(SharedRange{edge, t0, t1});
 }
 
-// Emits the sub-edge midpoints of one side's edges into `side`.
+// Ascending indices of the edges of `side` whose box meets the closed
+// rectangle `other` (the other polygon's MBR). Every other edge is far: it
+// meets nothing of the other polygon, so it has no cuts and its midpoint
+// lies outside `other`, i.e. in the other polygon's exterior.
+std::vector<uint32_t> NearEdges(const PreparedPolygon& side, const Box& other) {
+  std::vector<uint32_t> near;
+  if (!side.Bounds().Intersects(other)) return near;
+  const std::vector<Segment>& edges = side.Edges();
+  side.EdgeIndex().Probe(other.min.y, other.max.y, [&](uint32_t i) {
+    if (edges[i].Bounds().Intersects(other)) near.push_back(i);
+  });
+  std::sort(near.begin(), near.end());
+  return near;
+}
+
+// Emits the sub-edge midpoints of one side's near edges into `side` and
+// counts the rest as far edges.
 void EmitSide(const std::vector<Segment>& edges,
-              std::vector<EdgeSplits>* splits, ArrangementSide* side) {
-  std::vector<std::pair<double, Point>> cuts;
-  for (size_t i = 0; i < edges.size(); ++i) {
+              const std::vector<uint32_t>& near, SideSplits* splits,
+              ArrangementSide* side) {
+  side->far_edges = edges.size() - near.size();
+  // Stable: cuts at equal t keep discovery order, so the de-duplication
+  // below keeps the first one found.
+  std::vector<Cut>& cuts = splits->cuts;
+  std::stable_sort(cuts.begin(), cuts.end(), [](const Cut& a, const Cut& b) {
+    return a.edge != b.edge ? a.edge < b.edge : a.t < b.t;
+  });
+  std::vector<SharedRange>& shared = splits->shared;
+  std::sort(shared.begin(), shared.end(),
+            [](const SharedRange& a, const SharedRange& b) {
+              if (a.edge != b.edge) return a.edge < b.edge;
+              return a.t0 != b.t0 ? a.t0 < b.t0 : a.t1 < b.t1;
+            });
+
+  size_t next_cut = 0;
+  size_t next_shared = 0;
+  std::vector<std::pair<double, double>> merged;
+  side->midpoints.reserve(near.size() + cuts.size());
+  for (const uint32_t i : near) {
     const Segment& e = edges[i];
-    EdgeSplits& sp = (*splits)[i];
-    if (sp.cuts.empty() && sp.shared_ranges.empty()) {
+    const size_t cuts_begin = next_cut;
+    while (next_cut < cuts.size() && cuts[next_cut].edge == i) ++next_cut;
+    const size_t shared_begin = next_shared;
+    while (next_shared < shared.size() && shared[next_shared].edge == i) {
+      ++next_shared;
+    }
+    if (cuts_begin == next_cut && shared_begin == next_shared) {
       side->midpoints.push_back(e.Mid());
       continue;
     }
-    cuts = std::move(sp.cuts);
-    std::sort(cuts.begin(), cuts.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    cuts.erase(std::unique(cuts.begin(), cuts.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.first == b.first;
-                           }),
-               cuts.end());
     // Merge collinear shared ranges.
-    std::sort(sp.shared_ranges.begin(), sp.shared_ranges.end());
-    std::vector<std::pair<double, double>> merged;
-    for (const auto& range : sp.shared_ranges) {
-      if (!merged.empty() && range.first <= merged.back().second) {
-        merged.back().second = std::max(merged.back().second, range.second);
+    merged.clear();
+    for (size_t k = shared_begin; k < next_shared; ++k) {
+      if (!merged.empty() && shared[k].t0 <= merged.back().second) {
+        merged.back().second = std::max(merged.back().second, shared[k].t1);
       } else {
-        merged.push_back(range);
+        merged.emplace_back(shared[k].t0, shared[k].t1);
       }
     }
     if (!merged.empty()) side->has_shared_piece = true;
@@ -90,11 +136,6 @@ void EmitSide(const std::vector<Segment>& edges,
     double prev_t = 0.0;
     Point prev_p = e.a;
     auto emit_piece = [&](double next_t, const Point& next_p) {
-      if (next_t <= prev_t) {
-        prev_t = next_t;
-        prev_p = next_p;
-        return;
-      }
       const double mid_t = 0.5 * (prev_t + next_t);
       if (!in_shared(mid_t)) {
         side->midpoints.push_back(Midpoint(prev_p, next_p));
@@ -102,9 +143,14 @@ void EmitSide(const std::vector<Segment>& edges,
       prev_t = next_t;
       prev_p = next_p;
     };
-    for (const auto& [t, p] : cuts) emit_piece(t, p);
+    for (size_t k = cuts_begin; k < next_cut; ++k) {
+      if (k > cuts_begin && cuts[k].t == cuts[k - 1].t) continue;
+      emit_piece(cuts[k].t, cuts[k].p);
+    }
     emit_piece(1.0, e.b);
   }
+  // Every cut lies on a near edge: it meets the other polygon's MBR.
+  STJ_DCHECK(next_cut == cuts.size() && next_shared == shared.size());
 }
 
 }  // namespace
@@ -114,51 +160,46 @@ Arrangement ComputeArrangement(const PreparedPolygon& r,
   Arrangement out;
   const std::vector<Segment>& r_edges = r.Edges();
   const std::vector<Segment>& s_edges = s.Edges();
-  std::vector<EdgeSplits> r_splits(r_edges.size());
-  std::vector<EdgeSplits> s_splits(s_edges.size());
+  const std::vector<uint32_t> r_near = NearEdges(r, s.Bounds());
+  const std::vector<uint32_t> s_near = NearEdges(s, r.Bounds());
+  SideSplits r_splits;
+  SideSplits s_splits;
 
-  const Box overlap = r.Bounds().Intersection(s.Bounds());
-  if (!overlap.IsEmpty()) {
-    const Box& s_bounds = s.Bounds();
+  // Only near edges can meet the other boundary: a far edge misses the
+  // other polygon's MBR, so skipping it records no cuts, which is exactly
+  // what probing it would have recorded.
+  if (!s_near.empty()) {
     const EdgeSlabIndex& s_index = s.EdgeIndex();
-    for (const PreparedPolygon::RingRange& ring : r.Rings()) {
-      // Ring-level quick reject: a ring whose MBR misses the other polygon
-      // cannot contribute intersections. Skipping it records no cuts, which
-      // is exactly what probing each of its edges would have recorded, so
-      // the arrangement is unchanged.
-      if (!ring.bounds.Intersects(s_bounds)) continue;
-      for (uint32_t i = ring.begin; i < ring.end; ++i) {
-        const Segment& re = r_edges[i];
-        const Box re_box = re.Bounds();
-        if (!re_box.Intersects(s_bounds)) continue;
-        s_index.Probe(std::min(re.a.y, re.b.y), std::max(re.a.y, re.b.y),
-                      [&](uint32_t j) {
-          const Segment& se = s_edges[j];
-          if (!re_box.Intersects(se.Bounds())) return;
-          const SegIntersection isect =
-              IntersectSegments(re.a, re.b, se.a, se.b);
-          if (isect.kind == SegIntersectKind::kNone) return;
-          out.boundaries_touch = true;
-          if (isect.kind == SegIntersectKind::kPoint) {
-            RecordCut(&r_splits[i], ParamOnSegment(isect.p0, re.a, re.b),
-                      isect.p0);
-            RecordCut(&s_splits[j], ParamOnSegment(isect.p0, se.a, se.b),
-                      isect.p0);
-          } else {
-            RecordShared(&r_splits[i],
-                         ParamOnSegment(isect.p0, re.a, re.b), isect.p0,
-                         ParamOnSegment(isect.p1, re.a, re.b), isect.p1);
-            RecordShared(&s_splits[j],
-                         ParamOnSegment(isect.p0, se.a, se.b), isect.p0,
-                         ParamOnSegment(isect.p1, se.a, se.b), isect.p1);
-          }
-        });
-      }
+    for (const uint32_t i : r_near) {
+      const Segment& re = r_edges[i];
+      const Box re_box = re.Bounds();
+      s_index.Probe(std::min(re.a.y, re.b.y), std::max(re.a.y, re.b.y),
+                    [&](uint32_t j) {
+        const Segment& se = s_edges[j];
+        if (!re_box.Intersects(se.Bounds())) return;
+        const SegIntersection isect =
+            IntersectSegments(re.a, re.b, se.a, se.b);
+        if (isect.kind == SegIntersectKind::kNone) return;
+        out.boundaries_touch = true;
+        if (isect.kind == SegIntersectKind::kPoint) {
+          RecordCut(&r_splits, i, ParamOnSegment(isect.p0, re.a, re.b),
+                    isect.p0);
+          RecordCut(&s_splits, j, ParamOnSegment(isect.p0, se.a, se.b),
+                    isect.p0);
+        } else {
+          RecordShared(&r_splits, i, ParamOnSegment(isect.p0, re.a, re.b),
+                       isect.p0, ParamOnSegment(isect.p1, re.a, re.b),
+                       isect.p1);
+          RecordShared(&s_splits, j, ParamOnSegment(isect.p0, se.a, se.b),
+                       isect.p0, ParamOnSegment(isect.p1, se.a, se.b),
+                       isect.p1);
+        }
+      });
     }
   }
 
-  EmitSide(r_edges, &r_splits, &out.r);
-  EmitSide(s_edges, &s_splits, &out.s);
+  EmitSide(r_edges, r_near, &r_splits, &out.r);
+  EmitSide(s_edges, s_near, &s_splits, &out.s);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "src/geometry/point.h"
@@ -18,7 +19,15 @@ struct ArrangementSide {
   /// that lie on collinear shared pieces (reported via has_shared_piece).
   /// In exact arithmetic each midpoint is strictly interior or strictly
   /// exterior to the other polygon, never on its boundary.
+  /// Only near edges — those whose box meets the other polygon's closed
+  /// MBR — are split and listed here; far edges are counted in far_edges.
   std::vector<Point> midpoints;
+
+  /// Edges whose box misses the other polygon's closed MBR. Such an edge has
+  /// no cuts and its midpoint lies outside that MBR, so it would contribute
+  /// one midpoint in the other's exterior: callers read far_edges > 0 as
+  /// "some sub-edge lies in the exterior" without locating anything.
+  size_t far_edges = 0;
 
   /// True when some positive-length piece of this boundary coincides with
   /// the other polygon's boundary (dimension-1 B/B intersection evidence).
@@ -39,8 +48,10 @@ struct Arrangement {
 /// vice versa, using exact intersection classification. Collinear shared
 /// pieces are detected explicitly (never classified via rounded midpoints),
 /// which keeps shared-boundary datasets (tessellations, equal polygons)
-/// robust. Cost: O((|r| + |s| + k) * slab) where k is the number of
-/// boundary intersections, via a y-slab index over the edges of s.
+/// robust. Cost: O((near_r + near_s + k) * slab) where near counts the edges
+/// meeting the other polygon's MBR (found through each side's y-slab index)
+/// and k is the number of boundary intersections — a small polygon against
+/// a large one costs little more than the small one's size.
 /// Delegates through one-shot PreparedPolygons, so the result is identical
 /// to the prepared overload below by construction.
 Arrangement ComputeArrangement(const Polygon& r, const Polygon& s);

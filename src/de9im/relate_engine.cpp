@@ -19,6 +19,8 @@ SideFlags ClassifySide(const ArrangementSide& side,
                        const PolygonLocator& other) {
   SideFlags flags;
   flags.on_boundary = side.has_shared_piece;
+  // A far edge's midpoint is outside the other's MBR: exterior unlocated.
+  flags.in_exterior = side.far_edges > 0;
   for (const Point& mid : side.midpoints) {
     if (flags.in_interior && flags.in_exterior && flags.on_boundary) break;
     switch (other.Locate(mid)) {

@@ -17,8 +17,9 @@ namespace stj::de9im {
 /// the other polygon with an exact slab-indexed point locator, and derive the
 /// nine matrix entries from the classification flags; interior/interior and
 /// interior/exterior entries that no boundary evidence decides fall back to
-/// locating a representative interior point (PointOnSurface). Because a
-/// valid polygon's interior is connected, the fallback is sound: if no
+/// locating a representative interior point (PreparedPolygon::InteriorPoint).
+/// Because a valid polygon's interior is connected, the fallback is sound,
+/// and any exactly certified interior point serves: if no
 /// boundary piece of either polygon lies in the other's interior or exterior,
 /// each interior is entirely inside, entirely outside, or equal to the other.
 ///
@@ -32,8 +33,10 @@ class RelateEngine {
   static Matrix Relate(const Polygon& r, const Polygon& s);
 
   /// As above but with caller-provided locators (reused across pairs that
-  /// share a polygon). The edge arrays and intersection index are still
-  /// built per call; prefer the PreparedPolygon overload for full reuse.
+  /// share a polygon); their edge arrays and slab indexes serve the
+  /// arrangement too. The representative points are still found per call;
+  /// prefer the PreparedPolygon overload for full reuse. Probing a locator's
+  /// slab index is single-threaded, so concurrent calls must not share one.
   static Matrix Relate(const Polygon& r, const PolygonLocator& r_locator,
                        const Polygon& s, const PolygonLocator& s_locator);
 

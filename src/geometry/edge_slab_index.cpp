@@ -14,15 +14,28 @@ EdgeSlabIndex::EdgeSlabIndex(const std::vector<Segment>& edges,
                     ? static_cast<double>(num_slabs_) / height
                     : 0.0;
   if (inv_height_ == 0.0) num_slabs_ = 1;
-  slabs_.resize(num_slabs_);
-  for (size_t i = 0; i < n; ++i) {
-    const Segment& e = edges[i];
-    const size_t lo = SlabOf(std::min(e.a.y, e.b.y));
+  // CSR build: count the entries per slab, prefix-sum, scatter. Scattering
+  // edges in index order keeps every slab's entries ascending. Each write
+  // cursor ends at its slab's end, i.e. the next slab's start, so one shift
+  // restores the offsets.
+  slab_begin_.assign(num_slabs_ + 1, 0);
+  for (const Segment& e : edges) {
     const size_t hi = SlabOf(std::max(e.a.y, e.b.y));
-    for (size_t s = lo; s <= hi; ++s) {
-      slabs_[s].push_back(static_cast<uint32_t>(i));
+    for (size_t s = SlabOf(std::min(e.a.y, e.b.y)); s <= hi; ++s) {
+      ++slab_begin_[s + 1];
     }
   }
+  for (size_t s = 0; s < num_slabs_; ++s) slab_begin_[s + 1] += slab_begin_[s];
+  entries_.resize(slab_begin_[num_slabs_]);
+  for (size_t i = 0; i < n; ++i) {
+    const Segment& e = edges[i];
+    const size_t hi = SlabOf(std::max(e.a.y, e.b.y));
+    for (size_t s = SlabOf(std::min(e.a.y, e.b.y)); s <= hi; ++s) {
+      entries_[slab_begin_[s]++] = static_cast<uint32_t>(i);
+    }
+  }
+  for (size_t s = num_slabs_; s > 0; --s) slab_begin_[s] = slab_begin_[s - 1];
+  slab_begin_[0] = 0;
   visited_.assign(n, 0);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/geometry/box.h"
@@ -11,11 +12,11 @@ namespace stj {
 
 /// Y-slab index over a flat edge array: buckets edges by the horizontal
 /// slabs their y-span overlaps, so a probe for a y-range only visits edges
-/// that could intersect it. This is the intersection-discovery index of the
-/// DE-9IM boundary arrangement (historically an implementation detail of
-/// boundary_arrangement.cpp); it is a standalone class so a PreparedPolygon
-/// can build it once per object and reuse it across every candidate pair the
-/// object participates in.
+/// that could intersect it. One index serves two uses: PolygonLocator
+/// locates points through a single slab (SlabAt), and the DE-9IM boundary
+/// arrangement probes y-ranges for intersection discovery and near edges
+/// (Probe). A PreparedPolygon builds it once per object, inside its locator,
+/// and reuses it across every candidate pair the object participates in.
 ///
 /// Probe() is const but keeps mutable de-duplication scratch (an edge
 /// spanning several slabs must be reported once per probe), so a single
@@ -27,6 +28,16 @@ class EdgeSlabIndex {
   /// (the owning polygon's MBR). The edge array must outlive the index.
   EdgeSlabIndex(const std::vector<Segment>& edges, const Box& bounds);
 
+  /// The ascending indices of the edges in the slab containing y (y outside
+  /// the bounds clamps to the first or last slab). A slab lists each edge
+  /// once, so no de-duplication scratch is touched: safe to call from
+  /// several threads at once.
+  std::span<const uint32_t> SlabAt(double y) const {
+    const size_t s = SlabOf(y);
+    return {entries_.data() + slab_begin_[s],
+            entries_.data() + slab_begin_[s + 1]};
+  }
+
   /// Invokes fn(edge_index) once per edge whose slab range overlaps
   /// [ylo, yhi] — a superset of the edges whose y-span overlaps it.
   template <typename Fn>
@@ -34,12 +45,11 @@ class EdgeSlabIndex {
     BeginProbe();
     const size_t lo = SlabOf(ylo);
     const size_t hi = SlabOf(yhi);
-    for (size_t s = lo; s <= hi; ++s) {
-      for (const uint32_t idx : slabs_[s]) {
-        if (visited_[idx] == stamp_) continue;
-        visited_[idx] = stamp_;
-        fn(idx);
-      }
+    for (size_t k = slab_begin_[lo]; k < slab_begin_[hi + 1]; ++k) {
+      const uint32_t idx = entries_[k];
+      if (visited_[idx] == stamp_) continue;
+      visited_[idx] = stamp_;
+      fn(idx);
     }
   }
 
@@ -53,7 +63,11 @@ class EdgeSlabIndex {
   double y_lo_;
   double inv_height_ = 0.0;
   size_t num_slabs_ = 1;
-  std::vector<std::vector<uint32_t>> slabs_;
+  // CSR slab layout: slab s holds the ascending edge indices
+  // entries_[slab_begin_[s] .. slab_begin_[s + 1]). Two flat allocations
+  // however many slabs, instead of one growing vector per slab.
+  std::vector<size_t> slab_begin_;
+  std::vector<uint32_t> entries_;
   mutable std::vector<uint32_t> visited_;
   mutable uint32_t stamp_ = 0;
 };

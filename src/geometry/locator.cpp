@@ -2,47 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "src/geometry/predicates.h"
 
 namespace stj {
 
-PolygonLocator::PolygonLocator(const Polygon& poly) : poly_(&poly) {
-  const Box& bounds = poly.Bounds();
-  const size_t num_edges = poly.VertexCount();
-  // ~4 edges per slab on average keeps both build cost and query cost low.
-  num_slabs_ = std::max<size_t>(1, num_edges / 4);
-  const double height = bounds.Height();
-  y_lo_ = bounds.min.y;
-  if (height > 0.0 && num_slabs_ > 1) {
-    inv_slab_height_ = static_cast<double>(num_slabs_) / height;
-  } else {
-    num_slabs_ = 1;
-    inv_slab_height_ = 0.0;
-  }
-  slabs_.resize(num_slabs_);
-  poly.ForEachEdge([this](const Segment& e) {
-    const double lo = std::min(e.a.y, e.b.y);
-    const double hi = std::max(e.a.y, e.b.y);
-    const size_t first = SlabIndex(lo);
-    const size_t last = SlabIndex(hi);
-    for (size_t s = first; s <= last; ++s) slabs_[s].push_back(Edge{e.a, e.b});
-  });
+namespace {
+
+std::vector<Segment> FlattenEdges(const Polygon& poly) {
+  std::vector<Segment> edges;
+  edges.reserve(poly.VertexCount());
+  poly.ForEachEdge([&edges](const Segment& e) { edges.push_back(e); });
+  return edges;
 }
 
-size_t PolygonLocator::SlabIndex(double y) const {
-  if (num_slabs_ == 1) return 0;
-  const double t = (y - y_lo_) * inv_slab_height_;
-  if (t <= 0.0) return 0;
-  const size_t idx = static_cast<size_t>(t);
-  return std::min(idx, num_slabs_ - 1);
-}
+}  // namespace
+
+PolygonLocator::PolygonLocator(const Polygon& poly)
+    : poly_(&poly), edges_(FlattenEdges(poly)), index_(edges_, poly.Bounds()) {}
 
 Location PolygonLocator::Locate(const Point& p) const {
   if (!poly_->Bounds().Contains(p)) return Location::kExterior;
-  const std::vector<Edge>& slab = slabs_[SlabIndex(p.y)];
   bool inside = false;
-  for (const Edge& e : slab) {
+  for (const uint32_t i : index_.SlabAt(p.y)) {
+    const Segment& e = edges_[i];
     // On-boundary test with a cheap bounding-box pre-filter.
     if (p.x >= std::min(e.a.x, e.b.x) && p.x <= std::max(e.a.x, e.b.x) &&
         p.y >= std::min(e.a.y, e.b.y) && p.y <= std::max(e.a.y, e.b.y) &&

@@ -3,9 +3,11 @@
 #include <cstddef>
 #include <vector>
 
+#include "src/geometry/edge_slab_index.h"
 #include "src/geometry/point.h"
 #include "src/geometry/point_in_polygon.h"
 #include "src/geometry/polygon.h"
+#include "src/geometry/segment.h"
 
 namespace stj {
 
@@ -18,16 +20,18 @@ namespace stj {
 /// structure only prunes. Typical query cost is O(sqrt(n)) for blob-like
 /// polygons versus O(n) for the plain scan in point_in_polygon.h.
 ///
-/// The DE-9IM relate engine classifies O(n + m) sub-edge midpoints per pair,
-/// so this index is what keeps refinement near O((n + m) * sqrt(n)) instead of
-/// quadratic.
+/// The slab structure is the polygon's flattened edge array plus one
+/// EdgeSlabIndex over it — the same index the DE-9IM boundary arrangement
+/// probes for intersection discovery, so a PreparedPolygon builds it once
+/// for both uses.
 class PolygonLocator {
  public:
-  /// Builds the slab index over all rings of \p poly. The polygon must
-  /// outlive the locator.
+  /// Builds the edge array and slab index over all rings of \p poly. The
+  /// polygon must outlive the locator.
   explicit PolygonLocator(const Polygon& poly);
 
-  /// Exact topological location of \p p relative to the polygon.
+  /// Exact topological location of \p p relative to the polygon. Pure:
+  /// safe to call from several threads at once.
   Location Locate(const Point& p) const;
 
   /// Convenience: Locate(p) == kInterior.
@@ -35,19 +39,17 @@ class PolygonLocator {
     return Locate(p) == Location::kInterior;
   }
 
+  /// All edges, flattened in ForEachEdge order: outer ring, then holes.
+  const std::vector<Segment>& Edges() const { return edges_; }
+
+  /// The y-slab index over Edges(), slabbing the polygon's MBR. Its Probe
+  /// keeps per-index scratch: one thread at a time (see EdgeSlabIndex).
+  const EdgeSlabIndex& Index() const { return index_; }
+
  private:
-  struct Edge {
-    Point a;
-    Point b;
-  };
-
-  size_t SlabIndex(double y) const;
-
   const Polygon* poly_;
-  double y_lo_ = 0.0;
-  double inv_slab_height_ = 0.0;
-  size_t num_slabs_ = 1;
-  std::vector<std::vector<Edge>> slabs_;
+  std::vector<Segment> edges_;
+  EdgeSlabIndex index_;  // over edges_, so declared after it
 };
 
 }  // namespace stj

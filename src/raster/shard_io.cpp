@@ -123,6 +123,10 @@ bool ParseObjectGeometry(ByteReader* r, SpatialObject* out) {
   uint32_t ring_count = 0;
   if (!r->ReadU32(&id) || !r->ReadU32(&ring_count)) return false;
   if (ring_count == 0) return false;
+  // Each ring needs at least its 4-byte vertex count; reject ring counts the
+  // remaining record cannot hold before reserving (a corrupt count must not
+  // drive a huge allocation).
+  if (static_cast<uint64_t>(ring_count) * 4 > r->size - r->off) return false;
   std::vector<Ring> rings;
   rings.reserve(ring_count);
   for (uint32_t k = 0; k < ring_count; ++k) {

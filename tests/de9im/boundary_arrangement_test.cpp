@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numbers>
+#include <string>
+#include <vector>
+
+#include "src/de9im/relate_engine.h"
 #include "src/geometry/point_in_polygon.h"
+#include "src/geometry/prepared_polygon.h"
 #include "tests/test_support.h"
 
 namespace stj::de9im {
@@ -18,9 +25,10 @@ TEST(BoundaryArrangement, DisjointPolygonsKeepWholeEdges) {
   EXPECT_FALSE(arr.boundaries_touch);
   EXPECT_FALSE(arr.r.has_shared_piece);
   EXPECT_FALSE(arr.s.has_shared_piece);
-  // One midpoint per edge, no splits.
-  EXPECT_EQ(arr.r.midpoints.size(), 4u);
-  EXPECT_EQ(arr.s.midpoints.size(), 4u);
+  // One midpoint per edge, no splits (whole edges missing the other MBR are
+  // counted as far edges instead).
+  EXPECT_EQ(arr.r.midpoints.size() + arr.r.far_edges, 4u);
+  EXPECT_EQ(arr.s.midpoints.size() + arr.s.far_edges, 4u);
 }
 
 TEST(BoundaryArrangement, ProperCrossingSplitsEdges) {
@@ -31,8 +39,8 @@ TEST(BoundaryArrangement, ProperCrossingSplitsEdges) {
   EXPECT_TRUE(arr.boundaries_touch);
   EXPECT_FALSE(arr.r.has_shared_piece);
   // Two of a's edges split once each: 4 + 2 midpoints.
-  EXPECT_EQ(arr.r.midpoints.size(), 6u);
-  EXPECT_EQ(arr.s.midpoints.size(), 6u);
+  EXPECT_EQ(arr.r.midpoints.size() + arr.r.far_edges, 6u);
+  EXPECT_EQ(arr.s.midpoints.size() + arr.s.far_edges, 6u);
 }
 
 TEST(BoundaryArrangement, SharedEdgeIsDetectedCombinatorially) {
@@ -44,8 +52,8 @@ TEST(BoundaryArrangement, SharedEdgeIsDetectedCombinatorially) {
   EXPECT_TRUE(arr.s.has_shared_piece);
   // The shared edge produces no midpoint (it is classified as boundary
   // directly); the other 3 edges of each square produce one midpoint each.
-  EXPECT_EQ(arr.r.midpoints.size(), 3u);
-  EXPECT_EQ(arr.s.midpoints.size(), 3u);
+  EXPECT_EQ(arr.r.midpoints.size() + arr.r.far_edges, 3u);
+  EXPECT_EQ(arr.s.midpoints.size() + arr.s.far_edges, 3u);
 }
 
 TEST(BoundaryArrangement, PartialEdgeOverlapSplitsAroundSharedPiece) {
@@ -57,8 +65,8 @@ TEST(BoundaryArrangement, PartialEdgeOverlapSplitsAroundSharedPiece) {
   EXPECT_TRUE(arr.r.has_shared_piece);
   EXPECT_TRUE(arr.s.has_shared_piece);
   // a: 3 whole edges + right edge splits into [0,1) shared-free piece.
-  EXPECT_EQ(arr.r.midpoints.size(), 4u);
-  EXPECT_EQ(arr.s.midpoints.size(), 4u);
+  EXPECT_EQ(arr.r.midpoints.size() + arr.r.far_edges, 4u);
+  EXPECT_EQ(arr.s.midpoints.size() + arr.s.far_edges, 4u);
   // All midpoints must be off the other polygon's boundary in exact terms.
   for (const Point& mid : arr.r.midpoints) {
     EXPECT_NE(Locate(mid, b), Location::kBoundary);
@@ -83,8 +91,8 @@ TEST(BoundaryArrangement, VertexTouchRecordsNoSplitInteriorToEdges) {
   EXPECT_TRUE(arr.boundaries_touch);
   EXPECT_FALSE(arr.r.has_shared_piece);
   // The touch is at existing vertices: edges stay whole.
-  EXPECT_EQ(arr.r.midpoints.size(), 3u);
-  EXPECT_EQ(arr.s.midpoints.size(), 3u);
+  EXPECT_EQ(arr.r.midpoints.size() + arr.r.far_edges, 3u);
+  EXPECT_EQ(arr.s.midpoints.size() + arr.s.far_edges, 3u);
 }
 
 TEST(BoundaryArrangement, TJunctionSplitsTheThroughEdge) {
@@ -118,6 +126,63 @@ TEST(BoundaryArrangement, MidpointsClassifyCleanly) {
       }
     }
   }
+}
+
+// A regular polygon with many vertices, centred on the origin.
+Polygon RegularPolygon(size_t n, double radius) {
+  std::vector<Point> vertices;
+  for (size_t i = 0; i < n; ++i) {
+    const double angle = 2.0 * std::numbers::pi * static_cast<double>(i) /
+                         static_cast<double>(n);
+    vertices.push_back(Point{radius * std::cos(angle),
+                             radius * std::sin(angle)});
+  }
+  return Polygon(Ring(std::move(vertices)));
+}
+
+TEST(BoundaryArrangement, SmallAgainstLargeCountsFarEdges) {
+  // Small squares against a 256-gon of radius 100: nearly every edge of the
+  // large polygon misses the small one's MBR, so it is counted, not split
+  // and located. The matrices are the ones the geometry dictates, and the
+  // cached-prepared path agrees with the one-shot relate.
+  const Polygon large = RegularPolygon(256, 100.0);
+  const PreparedPolygon prepared_large(large);
+  prepared_large.Warm();
+  struct Case {
+    Polygon small;
+    const char* matrix;
+    size_t small_far_edges;
+  };
+  const Case cases[] = {
+      {Square(-1, -1, 1, 1), "2FF1FF212", 0},    // deep inside: within
+      {Square(95, -5, 105, 5), "212101212", 1},  // straddles the boundary;
+                                                 // its x = 105 side is far
+      {Square(80, 80, 82, 82), "FF2FF1212", 0},  // inside the MBR, outside
+  };
+  for (const Case& c : cases) {
+    const PreparedPolygon prepared_small(c.small);
+    const Arrangement arr = ComputeArrangement(prepared_small, prepared_large);
+    EXPECT_GT(arr.s.far_edges, 200u) << c.matrix;
+    EXPECT_EQ(arr.r.far_edges, c.small_far_edges) << c.matrix;
+    EXPECT_LE(arr.s.midpoints.size(), 8u) << c.matrix;
+    const Matrix prepared =
+        RelateEngine::Relate(prepared_small, prepared_large);
+    EXPECT_EQ(prepared.ToString(), c.matrix);
+    EXPECT_EQ(RelateEngine::Relate(c.small, large).ToString(), c.matrix);
+    // Transposed roles: the far edges are now on the r side.
+    const Arrangement flipped =
+        ComputeArrangement(prepared_large, prepared_small);
+    EXPECT_EQ(flipped.r.far_edges, arr.s.far_edges) << c.matrix;
+    EXPECT_EQ(RelateEngine::Relate(prepared_large, prepared_small),
+              prepared.Transposed())
+        << c.matrix;
+  }
+  // Deep inside, no edge of the large polygon is near: every one is far.
+  const Arrangement inside =
+      ComputeArrangement(PreparedPolygon(cases[0].small), prepared_large);
+  EXPECT_EQ(inside.s.far_edges, 256u);
+  EXPECT_TRUE(inside.s.midpoints.empty());
+  EXPECT_EQ(inside.r.midpoints.size(), 4u);
 }
 
 }  // namespace

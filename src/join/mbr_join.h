@@ -88,6 +88,11 @@ class MbrJoin {
                                          const std::vector<Box>& s,
                                          Options options = Options());
 
+  /// The thread count auto mode (num_threads = 0) picks for \p work input
+  /// boxes: one worker per 2048 boxes (tiny inputs are not worth the spawn
+  /// cost), at least one, at most \p cap (0 = hardware concurrency).
+  static unsigned UsefulThreads(size_t work, unsigned cap);
+
   /// Reference quadratic join for verification in tests.
   static std::vector<CandidatePair> JoinBruteForce(const std::vector<Box>& r,
                                                    const std::vector<Box>& s);

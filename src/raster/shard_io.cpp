@@ -59,7 +59,7 @@ struct ByteReader {
 
   bool Read(void* out, size_t n) {
     if (size - off < n) return false;
-    std::memcpy(out, data + off, n);
+    if (n > 0) std::memcpy(out, data + off, n);
     off += n;
     return true;
   }
@@ -102,8 +102,8 @@ Status WriteWholeFile(const std::string& path,
 }
 
 /// Serialises one object's geometry: u32 id, u32 ring count, then per ring
-/// a u32 vertex count and the (x, y) doubles. Unaligned by design — the
-/// blob is deserialised (memcpy) on load, never cast.
+/// a u32 vertex count and the (x, y) doubles. Unaligned by design — a
+/// record is decoded (memcpy) when first used, never cast.
 void AppendObjectGeometry(std::vector<uint8_t>* out, const SpatialObject& o) {
   AppendU32(out, o.id);
   AppendU32(out, static_cast<uint32_t>(o.geometry.RingCount()));
@@ -118,7 +118,12 @@ void AppendObjectGeometry(std::vector<uint8_t>* out, const SpatialObject& o) {
   for (const Ring& hole : o.geometry.Holes()) append_ring(hole);
 }
 
+/// Reads one geometry record. With \p out null it only walks the record —
+/// every count bounds-checked, vertex runs skipped — which is LoadTile's
+/// structural pass; with \p out set it also decodes the polygon. One
+/// function for both, so a record the walk accepted always decodes.
 bool ParseObjectGeometry(ByteReader* r, SpatialObject* out) {
+  static_assert(sizeof(Point) == 16, "vertex runs are read as Point arrays");
   uint32_t id = 0;
   uint32_t ring_count = 0;
   if (!r->ReadU32(&id) || !r->ReadU32(&ring_count)) return false;
@@ -128,24 +133,23 @@ bool ParseObjectGeometry(ByteReader* r, SpatialObject* out) {
   // drive a huge allocation).
   if (static_cast<uint64_t>(ring_count) * 4 > r->size - r->off) return false;
   std::vector<Ring> rings;
-  rings.reserve(ring_count);
+  if (out != nullptr) rings.reserve(ring_count);
   for (uint32_t k = 0; k < ring_count; ++k) {
     uint32_t vertex_count = 0;
     if (!r->ReadU32(&vertex_count)) return false;
     // Each vertex is 16 bytes; reject counts the remaining span cannot hold
     // before reserving (a corrupt count must not drive a huge allocation).
-    if (static_cast<uint64_t>(vertex_count) * 16 > r->size - r->off) {
-      return false;
+    const uint64_t run_bytes = static_cast<uint64_t>(vertex_count) * 16;
+    if (run_bytes > r->size - r->off) return false;
+    if (out == nullptr) {
+      r->off += run_bytes;
+      continue;
     }
-    std::vector<Point> vertices;
-    vertices.reserve(vertex_count);
-    for (uint32_t v = 0; v < vertex_count; ++v) {
-      Point p;
-      if (!r->ReadF64(&p.x) || !r->ReadF64(&p.y)) return false;
-      vertices.push_back(p);
-    }
+    std::vector<Point> vertices(vertex_count);
+    r->Read(vertices.data(), run_bytes);
     rings.emplace_back(std::move(vertices));
   }
+  if (out == nullptr) return true;
   Ring outer = std::move(rings.front());
   rings.erase(rings.begin());
   out->id = id;
@@ -264,6 +268,7 @@ Status CheckSegmentShapes(const ShardLayout& layout, const uint8_t* data,
   };
   Status st;
   if (!(st = expect(shard::kObjectIds, n * 4)).ok()) return st;
+  if (!(st = expect(shard::kObjectMbrs, n * sizeof(Box))).ok()) return st;
   if (!(st = expect(shard::kGeometryIndex, (n + 1) * 8)).ok()) return st;
   if (!(st = expect(shard::kAprilHdrBegin, (n + 1) * 8)).ok()) return st;
   if (!(st = expect(shard::kAprilPHdrBegin, n * 8)).ok()) return st;
@@ -305,7 +310,69 @@ Status CheckSegmentShapes(const ShardLayout& layout, const uint8_t* data,
   return Status::Ok();
 }
 
+/// Checks the geometry index (starts at 0, monotone, ends at the blob's
+/// size) and parses every record against it. With \p mbrs null each record
+/// is only walked (LoadTile's structural pass, no vertex copied); otherwise
+/// each is decoded and its bounds compared with mbrs[i] (the audit).
+Status CheckGeometryRecords(const ShardLayout& layout, const uint8_t* data,
+                            const std::string& path, const Box* mbrs) {
+  const uint64_t n = layout.object_count;
+  const SegmentEntry& index_seg = layout.segments[shard::kGeometryIndex];
+  const SegmentEntry& blob_seg = layout.segments[shard::kGeometryBlob];
+  const uint64_t* index =
+      reinterpret_cast<const uint64_t*>(data + index_seg.offset);
+  if (index[0] != 0 || index[n] != blob_seg.bytes) {
+    return Status::DataLoss("geometry index does not span the blob")
+        .WithFile(path);
+  }
+  SpatialObject decoded;
+  for (uint64_t i = 0; i < n; ++i) {
+    if (index[i] > index[i + 1]) {
+      return Status::DataLoss("geometry index not monotone at record " +
+                              std::to_string(i))
+          .WithFile(path);
+    }
+    ByteReader r{data + blob_seg.offset + index[i],
+                 static_cast<size_t>(index[i + 1] - index[i]), 0};
+    if (!ParseObjectGeometry(&r, mbrs != nullptr ? &decoded : nullptr) ||
+        r.off != r.size) {
+      return Status::DataLoss("malformed geometry record " +
+                              std::to_string(i))
+          .WithFile(path)
+          .WithOffset(blob_seg.offset + index[i]);
+    }
+    if (mbrs != nullptr && !(mbrs[i] == decoded.geometry.Bounds())) {
+      return Status::DataLoss("stored MBR of record " + std::to_string(i) +
+                              " differs from its geometry's bounds")
+          .WithFile(path);
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
+
+const SpatialObject& ShardGeometry::Object(size_t i) const {
+  STJ_DCHECK(i < Size());
+  Slot& slot = decoded_->slots[i];
+  std::call_once(slot.once, [this, i, &slot] {
+    ByteReader r{blob_ + index_[i],
+                 static_cast<size_t>(index_[i + 1] - index_[i]), 0};
+    const bool ok = ParseObjectGeometry(&r, &slot.object) && r.off == r.size;
+    STJ_CHECK_MSG(ok, "shard geometry record changed after LoadTile's walk");
+    decoded_->objects += 1;
+    decoded_->vertices += slot.object.geometry.VertexCount();
+  });
+  return slot.object;
+}
+
+uint64_t ShardGeometry::ObjectsDecoded() const {
+  return decoded_ == nullptr ? 0 : decoded_->objects.load();
+}
+
+uint64_t ShardGeometry::VerticesDecoded() const {
+  return decoded_ == nullptr ? 0 : decoded_->vertices.load();
+}
 
 Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                      const std::vector<uint32_t>& tile_begin,
@@ -334,14 +401,17 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
     const uint32_t* ids = entries.data() + tile_begin[t];
     const uint64_t n = tile_begin[t + 1] - tile_begin[t];
 
-    // Eager segments: global ids and the serialised geometry.
+    // Global ids, MBRs and the serialised geometry.
     std::vector<uint8_t> geom_blob;
     std::vector<uint8_t> geom_index;
+    std::vector<Box> mbrs;
     geom_index.reserve((n + 1) * 8);
+    mbrs.reserve(n);
     AppendU64(&geom_index, 0);
     for (uint64_t i = 0; i < n; ++i) {
       AppendObjectGeometry(&geom_blob, objects[ids[i]]);
       AppendU64(&geom_index, geom_blob.size());
+      mbrs.push_back(objects[ids[i]].geometry.Bounds());
     }
 
     // APRIL slice: verbatim record copies, so the per-tile arenas are
@@ -371,6 +441,7 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
         {shard::kAprilCIntervals, s.c_intervals, n * 8},
         {shard::kAprilPIntervals, s.p_intervals, n * 8},
         {shard::kAprilUsable, s.usable, n},
+        {shard::kObjectMbrs, mbrs.data(), n * sizeof(Box)},
     };
 
     // Lay segments out page-aligned, serialise the table, then assemble.
@@ -574,36 +645,26 @@ Status ShardSet::LoadTile(uint32_t t, LoadedShard* out) const {
 
   const uint64_t n = layout.object_count;
   const SegmentEntry& ids_seg = layout.segments[shard::kObjectIds];
+  const SegmentEntry& mbrs_seg = layout.segments[shard::kObjectMbrs];
   const SegmentEntry& index_seg = layout.segments[shard::kGeometryIndex];
   const SegmentEntry& blob_seg = layout.segments[shard::kGeometryBlob];
 
-  shard.ids.resize(n);
-  std::memcpy(shard.ids.data(), data + ids_seg.offset, ids_seg.bytes);
+  // The geometry stays encoded: the walk bounds-checks every record as the
+  // decoder will, and ShardGeometry::Object decodes on first use.
+  st = CheckGeometryRecords(layout, data, path, nullptr);
+  if (!st.ok()) return st;
 
-  const uint64_t* geom_index =
-      reinterpret_cast<const uint64_t*>(data + index_seg.offset);
-  if (geom_index[0] != 0 || geom_index[n] != blob_seg.bytes) {
-    return Status::DataLoss("geometry index does not span the blob")
-        .WithFile(path);
+  ShardGeometry& geometry = shard.geometry;
+  shard.ids.resize(n);
+  geometry.mbrs_.resize(n);
+  if (n > 0) {
+    std::memcpy(shard.ids.data(), data + ids_seg.offset, ids_seg.bytes);
+    std::memcpy(geometry.mbrs_.data(), data + mbrs_seg.offset,
+                mbrs_seg.bytes);
   }
-  shard.objects.resize(n);
-  shard.mbrs.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (geom_index[i] > geom_index[i + 1]) {
-      return Status::DataLoss("geometry index not monotone at record " +
-                              std::to_string(i))
-          .WithFile(path);
-    }
-    ByteReader r{data + blob_seg.offset + geom_index[i],
-                 static_cast<size_t>(geom_index[i + 1] - geom_index[i]), 0};
-    if (!ParseObjectGeometry(&r, &shard.objects[i]) || r.off != r.size) {
-      return Status::DataLoss("malformed geometry record " +
-                              std::to_string(i))
-          .WithFile(path)
-          .WithOffset(blob_seg.offset + geom_index[i]);
-    }
-    shard.mbrs.push_back(shard.objects[i].geometry.Bounds());
-  }
+  geometry.blob_ = data + blob_seg.offset;
+  geometry.index_ = reinterpret_cast<const uint64_t*>(data + index_seg.offset);
+  geometry.decoded_ = std::make_unique<ShardGeometry::Decoded>(n);
 
   // The APRIL arenas stay in the mapping: FromSpans aims the store straight
   // at the page-aligned segments, so nothing below is copied or faulted
@@ -630,11 +691,12 @@ Status ShardSet::LoadTile(uint32_t t, LoadedShard* out) const {
 
   shard.eager_bytes =
       kShardHeaderBytes + shard::kNumSegments * kSegmentEntryBytes +
-      ids_seg.bytes + index_seg.bytes + blob_seg.bytes +
+      ids_seg.bytes + mbrs_seg.bytes + index_seg.bytes +
       // The offset tables and flags are read by the shape checks above.
       (n + 1) * 16 + n * 32 + n;
-  shard.resident_bytes = shard.map.Size() + ids_seg.bytes + blob_seg.bytes +
-                         shard.mbrs.size() * sizeof(Box);
+  // The blob's size stands for the decoded polygons, charged up front.
+  shard.resident_bytes =
+      shard.map.Size() + ids_seg.bytes + blob_seg.bytes + mbrs_seg.bytes;
   *out = std::move(shard);
   return Status::Ok();
 }
@@ -701,6 +763,17 @@ Status ValidateShardSet(const std::string& dir, ShardCheckReport* report) {
         issue(t, "segment " + std::to_string(kind) + " checksum mismatch");
         corrupt = true;
       }
+    }
+    // Every record decodes, and the MBR the filter trusts is its bounds.
+    std::vector<Box> mbrs(layout.object_count);
+    const SegmentEntry& mbrs_seg = layout.segments[shard::kObjectMbrs];
+    if (!mbrs.empty()) {
+      std::memcpy(mbrs.data(), map.Data() + mbrs_seg.offset, mbrs_seg.bytes);
+    }
+    tile_st = CheckGeometryRecords(layout, map.Data(), path, mbrs.data());
+    if (!tile_st.ok()) {
+      issue(t, tile_st.ToString());
+      corrupt = true;
     }
     if (corrupt) ++local.tiles_corrupt;
   }

@@ -1,6 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "src/raster/april_compressed.h"
 #include "src/util/mmap_file.h"
 #include "src/util/status.h"
+#include "src/util/thread_annotations.h"
 
 namespace stj {
 
@@ -34,14 +38,17 @@ namespace stj {
 ///     payload  one span per segment, each offset page-aligned (4096)
 ///
 /// Segments persist the tile's slice of the dataset: the global object
-/// indices, the serialised geometry (an offset index plus a ring/vertex
-/// blob — deserialised on load), and the nine CSR arrays of the tile's
+/// indices, the per-object MBRs, the serialised geometry (an offset index
+/// plus a ring/vertex blob), and the nine CSR arrays of the tile's
 /// CompressedAprilStore written verbatim. Page alignment makes every typed
 /// array directly addressable in the mapping, so LoadTile serves the APRIL
 /// arenas *zero-copy*: the tile's CompressedAprilStore is
 /// CompressedAprilStore::FromSpans over pointers into the mapping, pages
 /// fault in only when the filter actually touches a block, and evicting the
 /// shard is munmap — no deserialisation on either side of the cache.
+/// Geometry is lazy too: LoadTile copies the ids and MBRs, walks each
+/// geometry record's counts, and leaves every polygon encoded until
+/// refinement asks for it (ShardGeometry below).
 ///
 /// Integrity: the manifest payload and each segment carry fnv1a64
 /// checksums, and the shard header checksums its own segment table. The
@@ -51,7 +58,8 @@ namespace stj {
 /// aprilcheck path) does read and verify every payload checksum.
 namespace shard {
 
-inline constexpr uint32_t kVersion = 1;
+/// Version 2 added kObjectMbrs; version 1 files fail with kDataLoss.
+inline constexpr uint32_t kVersion = 2;
 inline constexpr size_t kPageAlign = 4096;
 
 /// Segment kinds of a shard file, in table order.
@@ -69,8 +77,9 @@ enum SegmentKind : uint32_t {
   kAprilCIntervals = 10,  ///< u64[n].
   kAprilPIntervals = 11,  ///< u64[n].
   kAprilUsable = 12,      ///< u8[n].
+  kObjectMbrs = 13,       ///< Box[n], each equal to the record's Bounds().
 };
-inline constexpr uint32_t kNumSegments = 12;
+inline constexpr uint32_t kNumSegments = 13;
 
 }  // namespace shard
 
@@ -103,22 +112,81 @@ struct ShardWriteStats {
                      const CompressedAprilStore& store,
                      ShardWriteStats* stats = nullptr);
 
-/// One tile, resident: the mapping plus everything deserialised off it.
-/// The cstore references the mapping (zero-copy) — LoadedShard must be kept
-/// alive as one unit, which the scheduler's shard cache does.
+/// The geometry column of one resident shard, in local order. The MBRs are
+/// copied at load (the MBR filter reads every one); each polygon stays
+/// encoded in the mapping until Object(i) first asks for it, and is then
+/// decoded once and kept for the rest of the load. Refinement reaches only
+/// the few pairs the filters cannot decide, so most polygons of a tile are
+/// never decoded at all.
+///
+/// Thread safety: Object() may be called concurrently (the refinement
+/// workers of one task share the shard). One std::once_flag per object
+/// makes the first caller decode while the others wait, and all of them get
+/// the same instance, whose address is stable until the shard is destroyed.
+/// Decoded objects are never modified afterwards, so readers need no lock.
+///
+/// LoadTile walked every record with the decoder's own bounds checks, so a
+/// decode of an unchanged mapping cannot fail; one that does is an
+/// invariant violation (checked), not input handling.
+class ShardGeometry {
+ public:
+  size_t Size() const { return mbrs_.size(); }
+  /// The MBR column (the record's Bounds(), read from kObjectMbrs).
+  const std::vector<Box>& Mbrs() const { return mbrs_; }
+  const Box& Bounds(size_t i) const { return mbrs_[i]; }
+  /// Object \p i (id and polygon), decoded on first use.
+  const SpatialObject& Object(size_t i) const;
+  /// Objects decoded so far, and their total vertex count.
+  uint64_t ObjectsDecoded() const;
+  uint64_t VerticesDecoded() const;
+
+ private:
+  friend class ShardSet;
+
+  struct Slot {
+    std::once_flag once;
+    SpatialObject object;
+  };
+  /// Heap-held so LoadedShard stays movable (once_flag and atomics are not).
+  struct Decoded {
+    explicit Decoded(size_t n) : slots(std::make_unique<Slot[]>(n)) {}
+    std::unique_ptr<Slot[]> slots;
+    STJ_ATOMIC_DOC(
+        "decode telemetry; the decoding thread adds inside call_once, the "
+        "scheduler reads after the task's workers joined (default order; "
+        "one add per decoded object, so the ordering costs nothing)");
+    std::atomic<uint64_t> objects{0};
+    STJ_ATOMIC_DOC("as `objects`: one add per decode, read after the join");
+    std::atomic<uint64_t> vertices{0};
+  };
+
+  const uint8_t* blob_ = nullptr;     ///< kGeometryBlob, in the mapping.
+  const uint64_t* index_ = nullptr;   ///< kGeometryIndex, in the mapping.
+  std::vector<Box> mbrs_;
+  std::unique_ptr<Decoded> decoded_;
+};
+
+/// One tile, resident: the mapping plus the columns read off it. The cstore
+/// and the geometry column reference the mapping (zero-copy) — LoadedShard
+/// must be kept alive as one unit, which the scheduler's shard cache does.
 struct LoadedShard {
   uint32_t tile = 0;
   MappedFile map;
-  std::vector<uint32_t> ids;           ///< Global dataset indices, ascending.
-  std::vector<SpatialObject> objects;  ///< Deserialised geometry, local order.
-  std::vector<Box> mbrs;               ///< Local MBRs (filter input).
-  CompressedAprilStore cstore;         ///< Mapped (FromSpans) APRIL slice.
-  /// Cache/budget footprint: mapped bytes plus the deserialised heap
-  /// estimate. What the scheduler charges against ExecContext::TryCharge.
+  std::vector<uint32_t> ids;     ///< Global dataset indices, ascending.
+  ShardGeometry geometry;        ///< MBRs plus decode-on-first-use polygons.
+  CompressedAprilStore cstore;   ///< Mapped (FromSpans) APRIL slice.
+  /// Cache/budget footprint: mapped bytes plus the heap a fully decoded
+  /// tile would hold (ids, MBRs, and the geometry blob's size standing for
+  /// its decoded polygons). Charged in full at load, whatever refinement
+  /// later decodes, so cache admission and eviction do not depend on which
+  /// pairs reached refinement. What the scheduler charges against
+  /// ExecContext::TryCharge.
   size_t resident_bytes = 0;
-  /// Bytes eagerly materialised at load time (header, table, ids, geometry)
-  /// — the part of the file a load *must* fault in. The APRIL segments
-  /// (mapped bytes beyond this) fault lazily per touched page.
+  /// Bytes a load copies or reads outright: header, table, ids, MBRs, the
+  /// geometry index and the APRIL offset tables. The geometry blob is not
+  /// copied — the load reads only each record's ring and vertex counts —
+  /// and the APRIL payload is not read at all; both fault in per touched
+  /// page.
   uint64_t eager_bytes = 0;
 };
 
@@ -142,8 +210,10 @@ class ShardSet {
 
   std::string TilePath(uint32_t tile) const;
 
-  /// Maps tile \p t and deserialises its eager segments. Structural
-  /// verification only (see file comment); kDataLoss on any mismatch.
+  /// Maps tile \p t, copies its ids and MBRs, and walks every geometry
+  /// record's counts (no vertex is copied). Structural verification only
+  /// (see file comment); kDataLoss on any mismatch, malformed geometry
+  /// records included.
   [[nodiscard]] Status LoadTile(uint32_t t, LoadedShard* out) const;
 
  private:
@@ -167,8 +237,9 @@ struct ShardCheckReport {
 };
 
 /// Full integrity audit of a shard set: manifest frame, every tile's
-/// header + segment table, every segment's payload checksum, and
-/// cross-checks against the manifest (object counts, file sizes). Unlike
+/// header + segment table, every segment's payload checksum, cross-checks
+/// against the manifest (object counts, file sizes), and a decode of every
+/// geometry record whose bounds must equal its stored MBR. Unlike
 /// the join path this reads every byte. A non-ok Status means the manifest
 /// itself was unreadable (structural failure); per-tile corruption is
 /// reported through \p report, mirroring the v2/v3 record-isolation

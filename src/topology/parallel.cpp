@@ -61,11 +61,9 @@ struct PairSchedule {
 
 PairSchedule HilbertSchedule(DatasetView r_view, DatasetView s_view,
                              const std::vector<CandidatePair>& pairs) {
-  const std::vector<SpatialObject>& r = *r_view.objects;
-  const std::vector<SpatialObject>& s = *s_view.objects;
   Box space;
-  for (const SpatialObject& object : r) space.Expand(object.geometry.Bounds());
-  for (const SpatialObject& object : s) space.Expand(object.geometry.Bounds());
+  for (uint32_t i = 0; i < r_view.Size(); ++i) space.Expand(r_view.Bounds(i));
+  for (uint32_t i = 0; i < s_view.Size(); ++i) space.Expand(s_view.Bounds(i));
   const uint32_t cells = 1u << kScheduleOrder;
   const double inv_w =
       space.Width() > 0 ? static_cast<double>(cells) / space.Width() : 0.0;
@@ -79,8 +77,8 @@ PairSchedule HilbertSchedule(DatasetView r_view, DatasetView s_view,
   PairSchedule schedule;
   schedule.keys.resize(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
-    const Box& rb = r[pairs[i].r_idx].geometry.Bounds();
-    const Box& sb = s[pairs[i].s_idx].geometry.Bounds();
+    const Box& rb = r_view.Bounds(pairs[i].r_idx);
+    const Box& sb = s_view.Bounds(pairs[i].s_idx);
     const double ref_x = std::max(rb.min.x, sb.min.x);
     const double ref_y = std::max(rb.min.y, sb.min.y);
     schedule.keys[i] = HilbertXYToD(kScheduleOrder,

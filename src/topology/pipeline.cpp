@@ -130,10 +130,9 @@ const PreparedPolygon& Pipeline::PreparedFor(PreparedCache* cache,
                                              const DatasetView& view,
                                              uint32_t idx,
                                              PreparedPolygon* scratch) {
-  const Polygon& poly = (*view.objects)[idx].geometry;
   if (options_.prepared_cache_bytes == 0) {
     // Caching disabled: a lazy one-shot wrapper — exactly the cold path.
-    *scratch = PreparedPolygon(poly);
+    *scratch = PreparedPolygon(view.Geometry(idx));
     return *scratch;
   }
   if (const PreparedPolygon* hit = cache->Find(idx)) {
@@ -141,6 +140,7 @@ const PreparedPolygon& Pipeline::PreparedFor(PreparedCache* cache,
     return *hit;
   }
   ++stats_.prepared_misses;
+  const Polygon& poly = view.Geometry(idx);
   ScopedStageTime timing(options_.time_stages,
                          &stats_.prepared_build_seconds);
   PreparedPolygon prepared(poly);
@@ -165,8 +165,8 @@ Relation Pipeline::Refine(uint32_t r_idx, uint32_t s_idx,
 
 Pipeline::FilterOutcome Pipeline::FilterStage(uint32_t r_idx, uint32_t s_idx) {
   ++stats_.pairs;
-  const Box& r_mbr = (*r_view_.objects)[r_idx].geometry.Bounds();
-  const Box& s_mbr = (*s_view_.objects)[s_idx].geometry.Bounds();
+  const Box& r_mbr = r_view_.Bounds(r_idx);
+  const Box& s_mbr = s_view_.Bounds(s_idx);
 
   const auto decided = [](Relation relation) {
     return FilterOutcome{
@@ -377,8 +377,8 @@ bool Pipeline::RefineStagePredicate(uint32_t r_idx, uint32_t s_idx,
 RelateAnswer Pipeline::FilterStagePredicate(uint32_t r_idx, uint32_t s_idx,
                                             Relation p) {
   ++stats_.pairs;
-  const Box& r_mbr = (*r_view_.objects)[r_idx].geometry.Bounds();
-  const Box& s_mbr = (*s_view_.objects)[s_idx].geometry.Bounds();
+  const Box& r_mbr = r_view_.Bounds(r_idx);
+  const Box& s_mbr = s_view_.Bounds(s_idx);
 
   if (method_ == Method::kPC) {
     bool have = false;

@@ -10,6 +10,7 @@
 #include "src/raster/april_compressed.h"
 #include "src/raster/april_store.h"
 #include "src/raster/decoded_block_cache.h"
+#include "src/raster/shard_io.h"
 #include "src/topology/find_relation.h"
 #include "src/topology/prepared_cache.h"
 #include "src/topology/relate_predicate.h"
@@ -28,8 +29,12 @@ enum class Method : uint8_t {
 const char* ToString(Method method);
 
 /// One side of a join: objects plus (for kApril/kPC) their approximations.
+/// Geometry comes from `objects` (in memory) or, when `shard` is set, from a
+/// resident shard's geometry column, whose polygons are decoded only when
+/// first asked for; readers go through Size()/Bounds()/Geometry(), which
+/// pick the source, and never touch either field directly.
 /// Approximations come from exactly one of three storages, index-aligned
-/// with `objects` either way: a legacy vector<AprilApproximation>, an
+/// with the objects either way: a legacy vector<AprilApproximation>, an
 /// arena-backed AprilStore (april_store.h), or a blocked-codec
 /// CompressedAprilStore (april_compressed.h). When `store` is set it takes
 /// precedence over `april`; all may be null for methods that do not use
@@ -43,6 +48,21 @@ struct DatasetView {
   const std::vector<AprilApproximation>* april = nullptr;
   const AprilStore* store = nullptr;
   const CompressedAprilStore* cstore = nullptr;
+  /// Geometry source of a sharded view; takes precedence over `objects`.
+  const ShardGeometry* shard = nullptr;
+
+  size_t Size() const {
+    return shard != nullptr ? shard->Size() : objects->size();
+  }
+  const Box& Bounds(uint32_t i) const {
+    return shard != nullptr ? shard->Bounds(i)
+                            : (*objects)[i].geometry.Bounds();
+  }
+  /// The exact polygon of object \p i; for a shard, decoded on first use.
+  const Polygon& Geometry(uint32_t i) const {
+    return shard != nullptr ? shard->Object(i).geometry
+                            : (*objects)[i].geometry;
+  }
 };
 
 /// Default per-worker prepared-geometry cache budget. Sized so the working

@@ -27,8 +27,8 @@ std::vector<size_t> ScheduleCandidates(
   for (size_t i = 0; i < pairs.size(); ++i) {
     const CandidatePair& pair = pairs[i];
     if (policy == SchedulingPolicy::kMbrOverlapRatio) {
-      const Box& r = (*r_view.objects)[pair.r_idx].geometry.Bounds();
-      const Box& s = (*s_view.objects)[pair.s_idx].geometry.Bounds();
+      const Box& r = r_view.Bounds(pair.r_idx);
+      const Box& s = s_view.Bounds(pair.s_idx);
       const double overlap = r.Intersection(s).Area();
       const double smaller = std::min(r.Area(), s.Area());
       score[i] = smaller > 0 ? overlap / smaller : 1.0;

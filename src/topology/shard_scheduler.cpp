@@ -153,14 +153,19 @@ ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
       break;
     }
 
-    // Local MBR filter. Deterministic mode keeps the local pair order (and
-    // with it the executors' schedules) independent of thread count.
+    // Local MBR filter, on as many threads as the tile's boxes can use
+    // (most tiles are far too small to pay for the join's thread count).
+    // Deterministic mode keeps the local pair order (and with it the
+    // executors' schedules) independent of thread count.
+    const ShardGeometry& r_geometry = r_shard->geometry;
+    const ShardGeometry& s_geometry = s_shard->geometry;
     MbrJoin::Options mbr_options;
-    mbr_options.num_threads = options.join.num_threads;
+    mbr_options.num_threads = MbrJoin::UsefulThreads(
+        r_geometry.Size() + s_geometry.Size(), options.join.num_threads);
     mbr_options.deterministic = true;
     mbr_options.exec = exec;
     std::vector<CandidatePair> local =
-        MbrJoin::Join(r_shard->mbrs, s_shard->mbrs, mbr_options);
+        MbrJoin::Join(r_geometry.Mbrs(), s_geometry.Mbrs(), mbr_options);
     if (exec != nullptr && exec->StopRequested()) {
       // A cut during the filter leaves an incomplete candidate set; the
       // task contributes nothing (prior tasks' answers stay valid).
@@ -172,8 +177,8 @@ ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
     std::vector<CandidatePair> owned;
     owned.reserve(local.size());
     for (const CandidatePair& p : local) {
-      const Point ref = ReferencePoint(r_shard->mbrs[p.r_idx],
-                                       s_shard->mbrs[p.s_idx]);
+      const Point ref = ReferencePoint(r_geometry.Bounds(p.r_idx),
+                                       s_geometry.Bounds(p.s_idx));
       if (rg.TileOf(ref) == task.r_tile && sg.TileOf(ref) == task.s_tile) {
         owned.push_back(p);
       } else {
@@ -182,16 +187,28 @@ ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
     }
 
     // The existing executors over local views; the APRIL side reads
-    // zero-copy off the two mappings.
+    // zero-copy off the two mappings, and refinement decodes the polygons
+    // it needs. The shards are pinned, so whatever this task decodes shows
+    // up in the difference of their counters across the task.
     DatasetView r_view;
-    r_view.objects = &r_shard->objects;
+    r_view.shard = &r_geometry;
     r_view.cstore = &r_shard->cstore;
     DatasetView s_view;
-    s_view.objects = &s_shard->objects;
+    s_view.shard = &s_geometry;
     s_view.cstore = &s_shard->cstore;
+    const uint64_t objects_before =
+        r_geometry.ObjectsDecoded() + s_geometry.ObjectsDecoded();
+    const uint64_t vertices_before =
+        r_geometry.VerticesDecoded() + s_geometry.VerticesDecoded();
     ParallelJoinResult task_result =
         ParallelFindRelation(method, r_view, s_view, owned, options.join);
     MergeStats(task_result.stats, &result.stats);
+    result.shard_stats.objects_decoded +=
+        r_geometry.ObjectsDecoded() + s_geometry.ObjectsDecoded() -
+        objects_before;
+    result.shard_stats.vertices_decoded +=
+        r_geometry.VerticesDecoded() + s_geometry.VerticesDecoded() -
+        vertices_before;
 
     // Keep every answered pair, mapped back to global indices. On a cut
     // the unanswered remainder is dropped loss-lessly (PartialResult).

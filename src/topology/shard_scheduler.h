@@ -19,7 +19,8 @@ namespace stj {
 /// not the dataset size. Within a task the join is exactly the in-memory
 /// pipeline: MbrJoin over the tiles' local MBRs, then the existing parallel
 /// find-relation executors (pair-at-a-time or batched, per JoinOptions) on
-/// local DatasetViews whose APRIL side reads zero-copy off the mappings.
+/// local DatasetViews whose APRIL side reads zero-copy off the mappings and
+/// whose polygons are decoded only for the pairs that reach refinement.
 ///
 /// Determinism and exactness: objects are replicated into every tile their
 /// MBR overlaps, so a candidate pair can surface in several tasks. Each
@@ -56,9 +57,15 @@ struct ShardStats {
   uint64_t shard_hits = 0;      ///< Cache hits.
   uint64_t shards_evicted = 0;
   uint64_t bytes_mapped = 0;    ///< Sum of mapped file bytes over loads.
-  /// Bytes a load eagerly materialises (header, table, ids, geometry) —
-  /// the mandatory fault-in; the APRIL remainder pages in lazily.
+  /// Sum of LoadedShard::eager_bytes over loads: what a load copies or reads
+  /// outright (header, table, ids, MBRs, geometry index, APRIL offsets).
+  /// Not counted: the geometry blob, of which a load reads only the record
+  /// counts, and the APRIL payload; both page in as they are touched.
   uint64_t bytes_faulted = 0;
+  /// Polygons decoded from resident shards, and their vertices — one decode
+  /// per object per load, only for objects refinement asked for.
+  uint64_t objects_decoded = 0;
+  uint64_t vertices_decoded = 0;
   uint64_t cache_peak_bytes = 0;  ///< High-water resident-shard bytes.
   /// Candidate pairs dropped by the reference-point rule (duplicates that
   /// another task reports).

@@ -190,6 +190,17 @@ TEST(MbrJoin, DeterministicModeIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// Small inputs get one worker per 2048 boxes, never more than the cap (the
+// sharded scheduler sizes each tile's join this way).
+TEST(MbrJoin, UsefulThreadsScalesWithWorkUpToTheCap) {
+  EXPECT_EQ(MbrJoin::UsefulThreads(0, 4), 1u);
+  EXPECT_EQ(MbrJoin::UsefulThreads(900, 4), 1u);
+  EXPECT_EQ(MbrJoin::UsefulThreads(2 * 2048, 4), 2u);
+  EXPECT_EQ(MbrJoin::UsefulThreads(100000, 4), 4u);
+  EXPECT_EQ(MbrJoin::UsefulThreads(100000, 1), 1u);
+  EXPECT_GE(MbrJoin::UsefulThreads(100000, 0), 1u);  // 0 = all cores
+}
+
 TEST(MbrJoin, RunToRunReproducible) {
   // Tied xmin values used to leave the per-tile order unspecified; the idx
   // tiebreaker makes repeated runs identical, pair by pair.

@@ -6,10 +6,12 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/datasets/scenarios.h"
 #include "src/join/partitioner.h"
+#include "src/topology/pipeline.h"
 #include "src/util/mmap_file.h"
 
 namespace stj {
@@ -132,20 +134,28 @@ TEST_F(ShardIoTest, RoundTripPreservesEveryTileSlice) {
         partition_.entries.begin() + partition_.tile_begin[t + 1]);
     ASSERT_EQ(shard.ids, expected_ids);
 
-    // Geometry round-trips: ids, ring structure, vertices, MBRs.
-    ASSERT_EQ(shard.objects.size(), expected_ids.size());
-    ASSERT_EQ(shard.mbrs.size(), expected_ids.size());
+    // Geometry round-trips through the view accessors: ids, ring
+    // structure, vertices, bounds; the MBR column equals Bounds().
+    ASSERT_EQ(shard.geometry.Size(), expected_ids.size());
+    ASSERT_EQ(shard.geometry.Mbrs().size(), expected_ids.size());
+    DatasetView view;
+    view.shard = &shard.geometry;
+    ASSERT_EQ(view.Size(), expected_ids.size());
     CompressedAprilStore expected_slice;
-    for (size_t k = 0; k < expected_ids.size(); ++k) {
+    for (uint32_t k = 0; k < expected_ids.size(); ++k) {
       const SpatialObject& orig = scenario_.r.objects[expected_ids[k]];
-      const SpatialObject& got = shard.objects[k];
-      ASSERT_EQ(got.id, orig.id);
-      ASSERT_EQ(got.geometry.RingCount(), orig.geometry.RingCount());
-      ASSERT_EQ(got.geometry.VertexCount(), orig.geometry.VertexCount());
-      EXPECT_EQ(got.geometry.Bounds(), orig.geometry.Bounds());
-      EXPECT_EQ(shard.mbrs[k], orig.geometry.Bounds());
+      const Polygon& got = view.Geometry(k);
+      ASSERT_EQ(shard.geometry.Object(k).id, orig.id);
+      ASSERT_EQ(got.RingCount(), orig.geometry.RingCount());
+      ASSERT_EQ(got.VertexCount(), orig.geometry.VertexCount());
+      EXPECT_TRUE(got.Outer() == orig.geometry.Outer());
+      EXPECT_TRUE(got.Holes() == orig.geometry.Holes());
+      EXPECT_EQ(got.Bounds(), orig.geometry.Bounds());
+      EXPECT_EQ(view.Bounds(k), got.Bounds());
+      EXPECT_EQ(shard.geometry.Mbrs()[k], got.Bounds());
       expected_slice.AppendRecordFrom(cstore_, expected_ids[k]);
     }
+    EXPECT_EQ(shard.geometry.ObjectsDecoded(), expected_ids.size());
 
     // The mapped APRIL slice is byte-identical to the writer's input
     // (records are copied verbatim, never re-encoded).
@@ -183,6 +193,71 @@ TEST_F(ShardIoTest, LoadedAprilIsZeroCopyOffTheMapping) {
   EXPECT_GE(shard.resident_bytes, shard.map.Size());
   EXPECT_GT(shard.eager_bytes, 0u);
   EXPECT_LE(shard.eager_bytes, shard.map.Size());
+}
+
+TEST_F(ShardIoTest, LoadDecodesNoGeometryUntilAsked) {
+  const std::string dir = Dir("lazy");
+  ASSERT_TRUE(Write(dir).ok());
+  ShardSet set;
+  ASSERT_TRUE(ShardSet::Open(dir, &set).ok());
+  LoadedShard shard;
+  ASSERT_TRUE(set.LoadTile(0, &shard).ok());
+  ASSERT_GT(shard.geometry.Size(), 1u);
+  EXPECT_EQ(shard.geometry.ObjectsDecoded(), 0u);
+  EXPECT_EQ(shard.geometry.VerticesDecoded(), 0u);
+
+  // One decode per object, however often it is asked for.
+  const SpatialObject& first = shard.geometry.Object(1);
+  EXPECT_EQ(&shard.geometry.Object(1), &first);
+  EXPECT_EQ(shard.geometry.ObjectsDecoded(), 1u);
+  EXPECT_EQ(shard.geometry.VerticesDecoded(), first.geometry.VertexCount());
+}
+
+// Four threads decode the same shard at once, each walking the objects from
+// a different start. Every object is decoded exactly once: all threads see
+// the same instance, equal to the original polygon.
+TEST_F(ShardIoTest, ParallelGeometryDecodesEachObjectOnce) {
+  const std::string dir = Dir("parallel_decode");
+  ASSERT_TRUE(Write(dir).ok());
+  ShardSet set;
+  ASSERT_TRUE(ShardSet::Open(dir, &set).ok());
+  uint32_t largest = 0;
+  for (uint32_t t = 1; t < set.Tiles(); ++t) {
+    if (set.Tile(t).object_count > set.Tile(largest).object_count) {
+      largest = t;
+    }
+  }
+  LoadedShard shard;
+  ASSERT_TRUE(set.LoadTile(largest, &shard).ok());
+  DatasetView view;
+  view.shard = &shard.geometry;
+  const size_t n = view.Size();
+  ASSERT_GT(n, 0u);
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<const Polygon*>> seen(
+      kThreads, std::vector<const Polygon*>(n, nullptr));
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&view, &seen, n, w] {
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t i = static_cast<uint32_t>((k + w * n / kThreads) % n);
+        seen[w][i] = &view.Geometry(i);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  uint64_t vertices = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    for (size_t w = 1; w < kThreads; ++w) ASSERT_EQ(seen[w][i], seen[0][i]);
+    const Polygon& orig = scenario_.r.objects[shard.ids[i]].geometry;
+    EXPECT_TRUE(seen[0][i]->Outer() == orig.Outer()) << "object " << i;
+    EXPECT_TRUE(seen[0][i]->Holes() == orig.Holes()) << "object " << i;
+    vertices += orig.VertexCount();
+  }
+  EXPECT_EQ(shard.geometry.ObjectsDecoded(), n);
+  EXPECT_EQ(shard.geometry.VerticesDecoded(), vertices);
 }
 
 TEST_F(ShardIoTest, ValidateCleanSetReportsEverySegment) {

@@ -168,8 +168,41 @@ TEST_F(ShardJoinTest, DifferentialSweepOverGridsCachesThreadsAndBatches) {
       // Every task fetches exactly two shards from the cache.
       EXPECT_EQ(result.shard_stats.shard_loads + result.shard_stats.shard_hits,
                 2 * result.shard_stats.tasks_run);
+      // Only refinement decodes geometry: at most both sides of each
+      // refined pair.
+      EXPECT_LE(result.shard_stats.objects_decoded,
+                2 * result.stats.refined);
     }
   }
+}
+
+// OLE x OPE under P+C is filter-heavy: most pairs are decided without
+// geometry, so lazy decoding must leave most loaded polygons encoded.
+TEST_F(ShardJoinTest, RefinementDecodesFewerObjectsThanLoaded) {
+  ShardSet r_set, s_set;
+  BuildSets("lazy_decode", 1, 1, &r_set, &s_set);
+  ShardJoinOptions options;
+  options.join.num_threads = 2;
+  const ShardJoinResult result =
+      ShardedFindRelation(Method::kPC, r_set, s_set, options);
+  ExpectMatchesReference(result);
+  const ShardStats& ss = result.shard_stats;
+  ASSERT_EQ(ss.shard_loads, 2u);  // one tile per side, loaded once
+  const uint64_t objects_loaded =
+      r_set.Tile(0).object_count + s_set.Tile(0).object_count;
+  uint64_t vertices_loaded = 0;
+  for (const SpatialObject& o : scenario_.r.objects) {
+    vertices_loaded += o.geometry.VertexCount();
+  }
+  for (const SpatialObject& o : scenario_.s.objects) {
+    vertices_loaded += o.geometry.VertexCount();
+  }
+  ASSERT_GT(result.stats.refined, 0u);
+  EXPECT_GT(ss.objects_decoded, 0u);
+  EXPECT_LT(ss.objects_decoded, objects_loaded);
+  EXPECT_LE(ss.objects_decoded, 2 * result.stats.refined);
+  EXPECT_GT(ss.vertices_decoded, 0u);
+  EXPECT_LT(ss.vertices_decoded, vertices_loaded);
 }
 
 TEST_F(ShardJoinTest, BoundaryPairsAreDedupedNotDropped) {

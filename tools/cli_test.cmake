@@ -131,6 +131,11 @@ if(NOT shard_err MATCHES "\\[shard\\] .*/r: .* tiles" OR
    NOT shard_err MATCHES "tasks, .* loads / .* hits")
   message(FATAL_ERROR "sharded join missing shard telemetry:\n${shard_err}")
 endif()
+# Geometry is decoded lazily, only for pairs that reach refinement; the
+# [shard] line reports how much was decoded.
+if(NOT shard_err MATCHES "\\[shard\\] .*tasks, .* [0-9]+ objects / [0-9]+ vertices decoded")
+  message(FATAL_ERROR "sharded join missing decode telemetry:\n${shard_err}")
+endif()
 if(NOT shard_err MATCHES "\\[join\\] decoded cache: .* hits / .* misses")
   message(FATAL_ERROR "sharded --time-stages missing decoded-cache stats:\n${shard_err}")
 endif()

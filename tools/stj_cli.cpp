@@ -659,6 +659,7 @@ int CmdJoin(int argc, char** argv) {
     std::fprintf(stderr,
                  "[shard] %llu/%llu tasks, %llu loads / %llu hits, "
                  "%llu evictions, %.2f MB mapped, %.2f MB faulted eagerly, "
+                 "%llu objects / %llu vertices decoded, "
                  "cache peak %.2f MB, %llu pairs deduped\n",
                  static_cast<unsigned long long>(ss.tasks_run),
                  static_cast<unsigned long long>(ss.tasks),
@@ -667,6 +668,8 @@ int CmdJoin(int argc, char** argv) {
                  static_cast<unsigned long long>(ss.shards_evicted),
                  static_cast<double>(ss.bytes_mapped) / 1e6,
                  static_cast<double>(ss.bytes_faulted) / 1e6,
+                 static_cast<unsigned long long>(ss.objects_decoded),
+                 static_cast<unsigned long long>(ss.vertices_decoded),
                  static_cast<double>(ss.cache_peak_bytes) / 1e6,
                  static_cast<unsigned long long>(ss.pairs_deduped));
     ReportPreparedStats(result.stats);

@@ -40,7 +40,21 @@ struct LoadOptions {
   /// Cap on per-line issues retained in LoadReport::issues; counts beyond it
   /// are still tallied in the aggregate counters.
   size_t max_issues = 64;
+  /// Parse workers (0 = hardware concurrency, as in JoinOptions). The file
+  /// is split into byte ranges parsed in waves of one range per worker,
+  /// with at least kMinLoadBytesPerWorker of file per worker, so a small
+  /// file stays on one thread. The objects, the Status and the LoadReport
+  /// are the same at every count.
+  unsigned num_threads = 0;
 };
+
+/// The smallest byte range LoadWktDataset gives a worker of its own.
+inline constexpr uint64_t kMinLoadBytesPerWorker = uint64_t{1} << 20;
+
+/// The worker count LoadWktDataset uses for a \p file_bytes file: one per
+/// kMinLoadBytesPerWorker bytes, at least one, at most \p cap
+/// (0 = hardware concurrency).
+unsigned UsefulLoadThreads(uint64_t file_bytes, unsigned cap);
 
 /// What happened to one problematic input line.
 struct LineIssue {
@@ -68,8 +82,13 @@ struct LoadReport {
 /// Reads a WKT-per-line file into a dataset named \p name. Blank lines and
 /// lines starting with '#' are skipped. Object ids are assigned in file
 /// order over the lines actually loaded. On failure *out is cleared and the
-/// Status carries the file, 1-based line, and byte offset of the problem.
+/// Status carries the file, 1-based line, and byte offset of the problem;
+/// with several bad lines it names the first in file order.
 /// \p report (optional) receives per-line accounting in either mode.
+///
+/// Lines are split on '\n' only, as std::getline splits them; the parse
+/// runs on LoadOptions::num_threads workers over byte ranges of the file
+/// (DESIGN.md §7 has the contract).
 Status LoadWktDataset(const std::string& path, const std::string& name,
                       const LoadOptions& options, Dataset* out,
                       LoadReport* report = nullptr);
@@ -78,5 +97,19 @@ Status LoadWktDataset(const std::string& path, const std::string& name,
 /// non-comment line fails to parse; in that case *out is left cleared.
 bool LoadWktDataset(const std::string& path, const std::string& name,
                     Dataset* out);
+
+namespace internal {
+
+/// LoadWktDataset with the range boundaries given: the file is split at
+/// \p cuts (ascending byte offsets; offsets past the end clamp to it),
+/// whatever the ranges' sizes, and the ranges are parsed in waves of
+/// LoadOptions::num_threads workers (0: all ranges in one wave). Lets tests
+/// put boundaries anywhere in a small file.
+Status LoadWktDatasetRanges(const std::string& path, const std::string& name,
+                            const LoadOptions& options,
+                            const std::vector<uint64_t>& cuts, Dataset* out,
+                            LoadReport* report = nullptr);
+
+}  // namespace internal
 
 }  // namespace stj

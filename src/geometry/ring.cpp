@@ -12,22 +12,24 @@ Ring::Ring(std::vector<Point> vertices) : vertices_(std::move(vertices)) {
   for (const Point& p : vertices_) bounds_.Expand(p);
 }
 
+Ring::Ring(std::vector<Point> open_vertices, const Box& bounds)
+    : vertices_(std::move(open_vertices)), bounds_(bounds) {}
+
 Segment Ring::Edge(size_t i) const {
   const size_t j = (i + 1 == vertices_.size()) ? 0 : i + 1;
   return Segment{vertices_[i], vertices_[j]};
 }
 
-double Ring::SignedArea2() const {
-  const size_t n = vertices_.size();
+double RingSignedArea2(const Point* v, size_t n) {
   if (n < 3) return 0.0;
   double acc = 0.0;
   // Shoelace relative to vertex 0 for better conditioning.
-  const Point& o = vertices_[0];
+  const Point& o = v[0];
   for (size_t i = 1; i + 1 < n; ++i) {
-    const double ax = vertices_[i].x - o.x;
-    const double ay = vertices_[i].y - o.y;
-    const double bx = vertices_[i + 1].x - o.x;
-    const double by = vertices_[i + 1].y - o.y;
+    const double ax = v[i].x - o.x;
+    const double ay = v[i].y - o.y;
+    const double bx = v[i + 1].x - o.x;
+    const double by = v[i + 1].y - o.y;
     acc += ax * by - ay * bx;
   }
   return acc;

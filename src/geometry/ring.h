@@ -9,6 +9,11 @@
 
 namespace stj {
 
+/// Twice the signed area of the closed ring v[0..n) (shoelace relative to
+/// v[0]); 0 when n < 3. Ring::SignedArea2 and the flat ring builder of
+/// PolygonBuffer share it, so both normalise winding from the same value.
+double RingSignedArea2(const Point* v, size_t n);
+
 /// A closed polygonal ring.
 ///
 /// Vertices are stored without a repeated closing vertex; the edge from
@@ -20,6 +25,11 @@ class Ring {
   Ring() = default;
   explicit Ring(std::vector<Point> vertices);
 
+  /// Adopts \p open_vertices verbatim, with \p bounds as their bounding
+  /// box: no closing vertex is dropped and nothing is recomputed. For
+  /// builders that already did both (PolygonBuffer).
+  Ring(std::vector<Point> open_vertices, const Box& bounds);
+
   size_t Size() const { return vertices_.size(); }
   bool Empty() const { return vertices_.empty(); }
   const Point& operator[](size_t i) const { return vertices_[i]; }
@@ -29,7 +39,9 @@ class Ring {
   Segment Edge(size_t i) const;
 
   /// Twice the signed area (shoelace); positive for counter-clockwise rings.
-  double SignedArea2() const;
+  double SignedArea2() const {
+    return RingSignedArea2(vertices_.data(), Size());
+  }
 
   /// Absolute enclosed area.
   double Area() const { return 0.5 * (SignedArea2() < 0 ? -SignedArea2() : SignedArea2()); }

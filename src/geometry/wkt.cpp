@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <vector>
 
 namespace stj {
 
@@ -105,17 +104,37 @@ class Scanner {
   size_t pos_ = 0;
 };
 
-Status ParseRing(Scanner* sc, Ring* out) {
+/// Parses one parenthesised ring into \p out (AddVertex..., EndRing).
+Status ParseRing(Scanner* sc, PolygonBuffer* out) {
   if (!sc->ConsumeChar('(')) return sc->Error("'(' to open a ring");
-  std::vector<Point> pts;
   do {
     Point p;
     if (!sc->ParseDouble(&p.x)) return sc->Error("x coordinate");
     if (!sc->ParseDouble(&p.y)) return sc->Error("y coordinate");
-    pts.push_back(p);
+    out->AddVertex(p);
   } while (sc->ConsumeChar(','));
   if (!sc->ConsumeChar(')')) return sc->Error("',' or ')' in ring");
-  *out = Ring(std::move(pts));  // Ring() drops an explicit closing vertex.
+  out->EndRing();
+  return Status::Ok();
+}
+
+/// The POLYGON grammar. On error \p out holds a partial polygon, which the
+/// caller truncates.
+Status ParsePolygon(std::string_view wkt, PolygonBuffer* out) {
+  Scanner sc(wkt);
+  if (!sc.ConsumeKeyword("POLYGON")) return sc.Error("keyword POLYGON");
+  if (sc.ConsumeKeyword("EMPTY")) {
+    if (!sc.AtEnd()) return sc.Error("end of input after EMPTY");
+    out->EndPolygon();
+    return Status::Ok();
+  }
+  if (!sc.ConsumeChar('(')) return sc.Error("'(' to open the ring list");
+  do {  // the outer ring, then the holes
+    if (Status st = ParseRing(&sc, out); !st.ok()) return st;
+  } while (sc.ConsumeChar(','));
+  if (!sc.ConsumeChar(')')) return sc.Error("',' or ')' closing the ring list");
+  if (!sc.AtEnd()) return sc.Error("end of input");
+  out->EndPolygon();
   return Status::Ok();
 }
 
@@ -154,25 +173,18 @@ Result<Point> ParseWktPoint(std::string_view wkt) {
   return p;
 }
 
+Status ParseWktPolygon(std::string_view wkt, PolygonBuffer* out) {
+  const PolygonBuffer::Cursor mark = out->End();
+  Status st = ParsePolygon(wkt, out);
+  if (!st.ok()) out->Truncate(mark);
+  return st;
+}
+
 Result<Polygon> ParseWktPolygon(std::string_view wkt) {
-  Scanner sc(wkt);
-  if (!sc.ConsumeKeyword("POLYGON")) return sc.Error("keyword POLYGON");
-  if (sc.ConsumeKeyword("EMPTY")) {
-    if (!sc.AtEnd()) return sc.Error("end of input after EMPTY");
-    return Polygon{};
-  }
-  if (!sc.ConsumeChar('(')) return sc.Error("'(' to open the ring list");
-  Ring outer;
-  if (Status st = ParseRing(&sc, &outer); !st.ok()) return st;
-  std::vector<Ring> holes;
-  while (sc.ConsumeChar(',')) {
-    Ring hole;
-    if (Status st = ParseRing(&sc, &hole); !st.ok()) return st;
-    holes.push_back(std::move(hole));
-  }
-  if (!sc.ConsumeChar(')')) return sc.Error("',' or ')' closing the ring list");
-  if (!sc.AtEnd()) return sc.Error("end of input");
-  return Polygon(std::move(outer), std::move(holes));
+  PolygonBuffer buffer;
+  if (Status st = ParseWktPolygon(wkt, &buffer); !st.ok()) return st;
+  PolygonBuffer::Cursor first;
+  return buffer.Extract(&first);
 }
 
 }  // namespace stj

@@ -5,8 +5,10 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "src/util/check.h"
+#include "src/util/parallel_for.h"
 
 namespace stj {
 
@@ -350,6 +352,135 @@ Status CheckGeometryRecords(const ShardLayout& layout, const uint8_t* data,
   return Status::Ok();
 }
 
+/// Bytes AppendObjectGeometry writes for \p o: id and ring count, then per
+/// ring a vertex count and the vertices.
+size_t GeometryRecordBytes(const SpatialObject& o) {
+  return 8 + 4 * o.geometry.RingCount() + 16 * o.geometry.VertexCount();
+}
+
+/// Serialises tile \p t (its \p n dataset indices at \p ids) and writes
+/// tile_NNNNNN.shard under \p dir. The header, the segment table, the
+/// padding and each segment go straight to the file, so a tile in flight
+/// holds only its geometry blob (reserved at its exact size), index, MBRs
+/// and APRIL slice — no assembled copy of the file. \p file_bytes receives
+/// the file's size.
+Status WriteTile(const std::string& dir, uint32_t t, const uint32_t* ids,
+                 uint64_t n, const std::vector<SpatialObject>& objects,
+                 const CompressedAprilStore& store, uint64_t* file_bytes) {
+  // Global ids, MBRs and the serialised geometry.
+  size_t blob_bytes = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    blob_bytes += GeometryRecordBytes(objects[ids[i]]);
+  }
+  std::vector<uint8_t> geom_blob;
+  geom_blob.reserve(blob_bytes);
+  std::vector<uint8_t> geom_index;
+  std::vector<Box> mbrs;
+  geom_index.reserve((n + 1) * 8);
+  mbrs.reserve(n);
+  AppendU64(&geom_index, 0);
+  for (uint64_t i = 0; i < n; ++i) {
+    AppendObjectGeometry(&geom_blob, objects[ids[i]]);
+    AppendU64(&geom_index, geom_blob.size());
+    mbrs.push_back(objects[ids[i]].geometry.Bounds());
+  }
+  STJ_DCHECK(geom_blob.size() == blob_bytes);
+
+  // APRIL slice: verbatim record copies, so the per-tile arenas are
+  // byte-identical to the dataset records they came from.
+  const CompressedStoreSpans& from = store.Spans();
+  size_t blocks = 0;
+  size_t payload = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    blocks += from.hdr_begin[ids[i] + 1] - from.hdr_begin[ids[i]];
+    payload += from.byte_begin[ids[i] + 1] - from.byte_begin[ids[i]];
+  }
+  CompressedAprilStore slice;
+  slice.Reserve(n, blocks, payload);
+  for (uint64_t i = 0; i < n; ++i) {
+    slice.AppendRecordFrom(store, ids[i]);
+  }
+  const CompressedStoreSpans& s = slice.Spans();
+
+  struct Payload {
+    uint32_t kind;
+    const void* data;
+    uint64_t bytes;
+  };
+  const Payload payloads[shard::kNumSegments] = {
+      {shard::kObjectIds, ids, n * 4},
+      {shard::kGeometryIndex, geom_index.data(), geom_index.size()},
+      {shard::kGeometryBlob, geom_blob.data(), geom_blob.size()},
+      {shard::kAprilHeaders, s.headers,
+       s.hdr_begin[n] * sizeof(IntervalBlockHeader)},
+      {shard::kAprilBytes, s.bytes, s.byte_begin[n]},
+      {shard::kAprilHdrBegin, s.hdr_begin, (n + 1) * 8},
+      {shard::kAprilPHdrBegin, s.p_hdr_begin, n * 8},
+      {shard::kAprilByteBegin, s.byte_begin, (n + 1) * 8},
+      {shard::kAprilPByteBegin, s.p_byte_begin, n * 8},
+      {shard::kAprilCIntervals, s.c_intervals, n * 8},
+      {shard::kAprilPIntervals, s.p_intervals, n * 8},
+      {shard::kAprilUsable, s.usable, n},
+      {shard::kObjectMbrs, mbrs.data(), n * sizeof(Box)},
+  };
+
+  // Lay segments out page-aligned and serialise the table.
+  const size_t table_bytes = shard::kNumSegments * kSegmentEntryBytes;
+  size_t cursor = kShardHeaderBytes + table_bytes;
+  std::vector<uint8_t> table;
+  table.reserve(table_bytes);
+  uint64_t offsets[shard::kNumSegments];
+  for (uint32_t i = 0; i < shard::kNumSegments; ++i) {
+    cursor = AlignUp(cursor, shard::kPageAlign);
+    offsets[i] = cursor;
+    AppendU32(&table, payloads[i].kind);
+    AppendU32(&table, 0);
+    AppendU64(&table, cursor);
+    AppendU64(&table, payloads[i].bytes);
+    AppendU64(&table,
+              Fnv1a64(static_cast<const uint8_t*>(payloads[i].data),
+                      payloads[i].bytes));
+    cursor += payloads[i].bytes;
+  }
+  std::vector<uint8_t> head;
+  head.reserve(kShardHeaderBytes + table_bytes);
+  AppendRaw(&head, kShardMagic, 4);
+  AppendU32(&head, shard::kVersion);
+  AppendU64(&head, t);
+  AppendU64(&head, n);
+  AppendU32(&head, shard::kNumSegments);
+  AppendU32(&head, 0);
+  AppendU64(&head, Fnv1a64(table.data(), table.size()));
+  AppendRaw(&head, table.data(), table.size());
+
+  const std::string path = PathJoin(dir, TileFileName(t));
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    return Status::IoError("cannot open for writing").WithFile(path);
+  }
+  static constexpr uint8_t kZeroPage[shard::kPageAlign] = {};
+  bool written = true;
+  const auto put = [f, &written](const void* data, size_t bytes) {
+    if (written && bytes != 0) {
+      written = std::fwrite(data, 1, bytes, f) == bytes;
+    }
+  };
+  put(head.data(), head.size());
+  size_t at = head.size();
+  for (uint32_t i = 0; i < shard::kNumSegments; ++i) {
+    put(kZeroPage, offsets[i] - at);  // zero padding up to the aligned offset
+    put(payloads[i].data, payloads[i].bytes);
+    at = offsets[i] + payloads[i].bytes;
+  }
+  const bool flushed = std::fflush(f) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !flushed || !closed) {
+    return Status::IoError("short write").WithFile(path);
+  }
+  *file_bytes = at;
+  return Status::Ok();
+}
+
 }  // namespace
 
 const SpatialObject& ShardGeometry::Object(size_t i) const {
@@ -380,7 +511,7 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                      const std::vector<uint64_t>& tile_units,
                      const std::vector<SpatialObject>& objects,
                      const CompressedAprilStore& store,
-                     ShardWriteStats* stats) {
+                     ShardWriteStats* stats, unsigned num_threads) {
   const uint32_t num_tiles = grid.Tiles();
   STJ_CHECK_MSG(store.Count() == objects.size(),
                 "shard writer needs an APRIL record per object");
@@ -395,96 +526,31 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
         .WithFile(dir);
   }
 
-  ShardWriteStats local;
+  // Tiles are independent: each worker writes a contiguous run of them and
+  // stops at its first failure. Every tile before a worker's failure was
+  // attempted, so the lowest failing index is the one a serial writer
+  // would have stopped at.
+  if (num_threads == 0) {
+    num_threads = std::max(1u, std::thread::hardware_concurrency());
+  }
   std::vector<ShardTileInfo> infos(num_tiles);
+  std::vector<Status> tile_status(num_tiles);
+  internal::RunChunks(
+      std::min(num_threads, num_tiles), num_tiles,
+      [&](unsigned, size_t begin, size_t end) {
+        for (size_t t = begin; t < end; ++t) {
+          const uint64_t n = tile_begin[t + 1] - tile_begin[t];
+          infos[t] = ShardTileInfo{n, tile_units[t], 0};
+          tile_status[t] = WriteTile(dir, static_cast<uint32_t>(t),
+                                     entries.data() + tile_begin[t], n,
+                                     objects, store, &infos[t].file_bytes);
+          if (!tile_status[t].ok()) return;
+        }
+      });
+  ShardWriteStats local;
   for (uint32_t t = 0; t < num_tiles; ++t) {
-    const uint32_t* ids = entries.data() + tile_begin[t];
-    const uint64_t n = tile_begin[t + 1] - tile_begin[t];
-
-    // Global ids, MBRs and the serialised geometry.
-    std::vector<uint8_t> geom_blob;
-    std::vector<uint8_t> geom_index;
-    std::vector<Box> mbrs;
-    geom_index.reserve((n + 1) * 8);
-    mbrs.reserve(n);
-    AppendU64(&geom_index, 0);
-    for (uint64_t i = 0; i < n; ++i) {
-      AppendObjectGeometry(&geom_blob, objects[ids[i]]);
-      AppendU64(&geom_index, geom_blob.size());
-      mbrs.push_back(objects[ids[i]].geometry.Bounds());
-    }
-
-    // APRIL slice: verbatim record copies, so the per-tile arenas are
-    // byte-identical to the dataset records they came from.
-    CompressedAprilStore slice;
-    for (uint64_t i = 0; i < n; ++i) {
-      slice.AppendRecordFrom(store, ids[i]);
-    }
-    const CompressedStoreSpans& s = slice.Spans();
-
-    struct Payload {
-      uint32_t kind;
-      const void* data;
-      uint64_t bytes;
-    };
-    const Payload payloads[shard::kNumSegments] = {
-        {shard::kObjectIds, ids, n * 4},
-        {shard::kGeometryIndex, geom_index.data(), geom_index.size()},
-        {shard::kGeometryBlob, geom_blob.data(), geom_blob.size()},
-        {shard::kAprilHeaders, s.headers,
-         s.hdr_begin[n] * sizeof(IntervalBlockHeader)},
-        {shard::kAprilBytes, s.bytes, s.byte_begin[n]},
-        {shard::kAprilHdrBegin, s.hdr_begin, (n + 1) * 8},
-        {shard::kAprilPHdrBegin, s.p_hdr_begin, n * 8},
-        {shard::kAprilByteBegin, s.byte_begin, (n + 1) * 8},
-        {shard::kAprilPByteBegin, s.p_byte_begin, n * 8},
-        {shard::kAprilCIntervals, s.c_intervals, n * 8},
-        {shard::kAprilPIntervals, s.p_intervals, n * 8},
-        {shard::kAprilUsable, s.usable, n},
-        {shard::kObjectMbrs, mbrs.data(), n * sizeof(Box)},
-    };
-
-    // Lay segments out page-aligned, serialise the table, then assemble.
-    const size_t table_bytes = shard::kNumSegments * kSegmentEntryBytes;
-    size_t cursor = kShardHeaderBytes + table_bytes;
-    std::vector<uint8_t> table;
-    table.reserve(table_bytes);
-    size_t file_size = cursor;
-    uint64_t offsets[shard::kNumSegments];
-    for (uint32_t i = 0; i < shard::kNumSegments; ++i) {
-      cursor = AlignUp(cursor, shard::kPageAlign);
-      offsets[i] = cursor;
-      AppendU32(&table, payloads[i].kind);
-      AppendU32(&table, 0);
-      AppendU64(&table, cursor);
-      AppendU64(&table, payloads[i].bytes);
-      AppendU64(&table,
-                Fnv1a64(static_cast<const uint8_t*>(payloads[i].data),
-                        payloads[i].bytes));
-      cursor += payloads[i].bytes;
-      file_size = cursor;
-    }
-
-    std::vector<uint8_t> file;
-    file.reserve(file_size);
-    AppendRaw(&file, kShardMagic, 4);
-    AppendU32(&file, shard::kVersion);
-    AppendU64(&file, t);
-    AppendU64(&file, n);
-    AppendU32(&file, shard::kNumSegments);
-    AppendU32(&file, 0);
-    AppendU64(&file, Fnv1a64(table.data(), table.size()));
-    AppendRaw(&file, table.data(), table.size());
-    for (uint32_t i = 0; i < shard::kNumSegments; ++i) {
-      file.resize(offsets[i], 0);  // zero padding up to the aligned offset
-      AppendRaw(&file, payloads[i].data, payloads[i].bytes);
-    }
-
-    const std::string path = PathJoin(dir, TileFileName(t));
-    Status st = WriteWholeFile(path, file);
-    if (!st.ok()) return st;
-    infos[t] = ShardTileInfo{n, tile_units[t], file.size()};
-    local.bytes_written += file.size();
+    if (!tile_status[t].ok()) return tile_status[t];
+    local.bytes_written += infos[t].file_bytes;
     ++local.tiles;
   }
 

@@ -104,13 +104,20 @@ struct ShardWriteStats {
 /// compressed APRIL storage, index-aligned with \p objects. Per-tile APRIL
 /// slices are copied verbatim (never re-encoded), so a loaded tile record
 /// is byte-identical to the dataset record it came from.
+///
+/// Tiles are serialised and written on \p num_threads workers
+/// (0 = hardware concurrency), each tile streamed to its file without an
+/// assembled copy. Every file is byte-identical at every thread count. On
+/// failure the Status is that of the lowest-index failing tile, and the
+/// manifest, written last and only once every tile succeeded, is absent.
 [[nodiscard]] Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                      const std::vector<uint32_t>& tile_begin,
                      const std::vector<uint32_t>& entries,
                      const std::vector<uint64_t>& tile_units,
                      const std::vector<SpatialObject>& objects,
                      const CompressedAprilStore& store,
-                     ShardWriteStats* stats = nullptr);
+                     ShardWriteStats* stats = nullptr,
+                     unsigned num_threads = 0);
 
 /// The geometry column of one resident shard, in local order. The MBRs are
 /// copied at load (the MBR filter reads every one); each polygon stays

@@ -263,7 +263,7 @@ Status BuildShardSet(const std::string& dir,
                      const CompressedAprilStore& store,
                      const PartitionOptions& options,
                      TilePartition* partition_out,
-                     ShardWriteStats* stats_out) {
+                     ShardWriteStats* stats_out, unsigned num_threads) {
   STJ_CHECK_MSG(store.Count() == objects.size(),
                 "shard build needs an APRIL record per object");
   std::vector<Box> mbrs;
@@ -281,7 +281,7 @@ Status BuildShardSet(const std::string& dir,
   TilePartition partition = BuildCostBalancedPartition(mbrs, units, options);
   Status st = WriteShardSet(dir, partition.grid, partition.tile_begin,
                             partition.entries, partition.tile_units, objects,
-                            store, stats_out);
+                            store, stats_out, num_threads);
   if (!st.ok()) return st;
   if (partition_out != nullptr) *partition_out = std::move(partition);
   return Status::Ok();

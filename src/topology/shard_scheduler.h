@@ -100,12 +100,14 @@ ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
 /// per-object computational units (vertex count + APRIL interval count —
 /// the cost model the partitioner balances), builds the cost-balanced
 /// TilePartition, and persists the dataset as a shard set under \p dir.
-/// \p partition_out (optional) receives the partition for inspection.
+/// \p partition_out (optional) receives the partition for inspection;
+/// \p num_threads is WriteShardSet's writer thread count.
 Status BuildShardSet(const std::string& dir,
                      const std::vector<SpatialObject>& objects,
                      const CompressedAprilStore& store,
                      const PartitionOptions& options,
                      TilePartition* partition_out = nullptr,
-                     ShardWriteStats* stats_out = nullptr);
+                     ShardWriteStats* stats_out = nullptr,
+                     unsigned num_threads = 0);
 
 }  // namespace stj

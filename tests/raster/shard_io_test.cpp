@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -374,6 +375,75 @@ TEST_F(ShardIoTest, ResolveShardSetDirAcceptsDirAndManifestPath) {
   EXPECT_TRUE(ResolveShardSetDir(dir + "/manifest.stj", &resolved));
   EXPECT_EQ(resolved, dir);
   EXPECT_FALSE(ResolveShardSetDir(Dir("resolve_missing"), &resolved));
+}
+
+// The parallel writer: every file byte-identical to the one-thread
+// writer's, at more threads than tiles too.
+TEST_F(ShardIoTest, ParallelWriterFilesAreByteIdenticalAtEveryThreadCount) {
+  const std::vector<Box> mbrs = scenario_.r.Mbrs();
+  std::vector<uint64_t> units(mbrs.size());
+  for (size_t i = 0; i < units.size(); ++i) {
+    units[i] = scenario_.r.objects[i].geometry.VertexCount();
+  }
+  PartitionOptions poptions;
+  poptions.target_tiles = 6;
+  const TilePartition partition =
+      BuildCostBalancedPartition(mbrs, units, poptions);
+  ASSERT_GE(partition.Tiles(), 4u);
+
+  const auto write = [&](unsigned threads, ShardWriteStats* stats) {
+    const std::string dir = Dir("parallel_" + std::to_string(threads));
+    std::filesystem::remove_all(dir);
+    EXPECT_TRUE(WriteShardSet(dir, partition.grid, partition.tile_begin,
+                              partition.entries, partition.tile_units,
+                              scenario_.r.objects, cstore_, stats, threads)
+                    .ok());
+    return dir;
+  };
+  ShardWriteStats serial_stats;
+  const std::string serial = write(1, &serial_stats);
+  EXPECT_EQ(serial_stats.tiles, partition.Tiles());
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    ShardWriteStats stats;
+    const std::string dir = write(threads, &stats);
+    EXPECT_EQ(stats.tiles, serial_stats.tiles) << threads;
+    EXPECT_EQ(stats.bytes_written, serial_stats.bytes_written) << threads;
+    EXPECT_EQ(ReadFile(dir + "/manifest.stj"),
+              ReadFile(serial + "/manifest.stj"))
+        << threads;
+    for (uint32_t t = 0; t < partition.Tiles(); ++t) {
+      char name[32];
+      std::snprintf(name, sizeof name, "/tile_%06u.shard", t);
+      const std::vector<uint8_t> bytes = ReadFile(dir + name);
+      EXPECT_FALSE(bytes.empty()) << name;
+      EXPECT_EQ(bytes, ReadFile(serial + name)) << threads << name;
+    }
+  }
+}
+
+// A directory squatting two tiles' file names: the Status names the lower
+// tile at every thread count, and no manifest marks the set complete.
+TEST_F(ShardIoTest, ParallelWriterFailureNamesLowestTileAndWritesNoManifest) {
+  ASSERT_GE(partition_.Tiles(), 4u);
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string dir = Dir("squatted_" + std::to_string(threads));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir + "/tile_000003.shard");
+    std::filesystem::create_directories(dir + "/tile_000001.shard");
+    ShardWriteStats stats;
+    stats.tiles = 99;
+    const Status status =
+        WriteShardSet(dir, partition_.grid, partition_.tile_begin,
+                      partition_.entries, partition_.tile_units,
+                      scenario_.r.objects, cstore_, &stats, threads);
+    ASSERT_FALSE(status.ok()) << threads;
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << threads;
+    EXPECT_EQ(status.file(), dir + "/tile_000001.shard") << threads;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/manifest.stj")) << threads;
+    EXPECT_EQ(stats.tiles, 99u) << "stats are written only on success";
+    ShardSet set;
+    EXPECT_EQ(ShardSet::Open(dir, &set).code(), StatusCode::kNotFound);
+  }
 }
 
 TEST(MappedFileTest, MissingFileIsNotFound) {

@@ -10,6 +10,7 @@
 
 #include "src/datasets/dataset_io.h"
 #include "src/util/rng.h"
+#include "tests/datasets/load_differential.h"
 #include "tests/robustness/corrupter.h"
 #include "tests/test_support.h"
 
@@ -17,7 +18,9 @@
 // to every line of a valid dataset file. Strict loads must fail with a Status
 // naming the file, 1-based line, and byte offset; permissive loads must
 // triage every line into exactly one of accepted / repaired / skipped and
-// keep the clean remainder.
+// keep the clean remainder. Every fixture also loads identically with its
+// byte ranges split around each line break (tests/datasets/
+// load_differential.h).
 
 namespace stj {
 namespace {
@@ -124,6 +127,7 @@ TEST_F(WktFaultInjectionTest, StrictStatusNamesFileLineAndOffset) {
       EXPECT_NE(rendered.find(path + ":" + std::to_string(i + 2)),
                 std::string::npos)
           << rendered;
+      test::ExpectLoadMatchesOneWorker(path, options);
       std::remove(path.c_str());
     }
   }
@@ -154,6 +158,7 @@ TEST_F(WktFaultInjectionTest, PermissiveKeepsCleanRemainder) {
       for (size_t k = 0; k < loaded.objects.size(); ++k) {
         EXPECT_EQ(loaded.objects[k].id, static_cast<uint32_t>(k));
       }
+      test::ExpectLoadMatchesOneWorker(path, options);
       std::remove(path.c_str());
     }
   }
@@ -188,6 +193,8 @@ TEST_F(WktFaultInjectionTest, DuplicateVertexIsRepairedNotSkipped) {
   Dataset strict;
   ASSERT_TRUE(LoadWktDataset(path, "fault", LoadOptions{}, &strict).ok());
   EXPECT_EQ(strict.objects.size(), dataset_.objects.size());
+  test::ExpectLoadMatchesOneWorker(path, options);
+  test::ExpectLoadMatchesOneWorker(path, LoadOptions{});
   std::remove(path.c_str());
 }
 
@@ -225,6 +232,8 @@ TEST_F(WktFaultInjectionTest, MultipleBadLinesAllTriaged) {
   const Status status = LoadWktDataset(path, "fault", LoadOptions{}, &strict);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.line(), 2u);
+  test::ExpectLoadMatchesOneWorker(path, options);
+  test::ExpectLoadMatchesOneWorker(path, LoadOptions{});
   std::remove(path.c_str());
 }
 
@@ -249,6 +258,7 @@ TEST_F(WktFaultInjectionTest, IssueCapKeepsCountingBeyondIt) {
   EXPECT_EQ(report.skipped, dataset_.objects.size());
   EXPECT_EQ(report.issues.size(), 2u);
   EXPECT_EQ(report.issues_dropped, dataset_.objects.size() - 2);
+  test::ExpectLoadMatchesOneWorker(path, options);
   std::remove(path.c_str());
 }
 

@@ -8,7 +8,8 @@
 #   tools/sanitize.sh invariants
 #
 # asan-ubsan runs the full suite; the tsan test preset restricts itself to
-# the thread-heavy tests (parallel fan-out, degraded pipelines, progressive)
+# the thread-heavy tests (parallel fan-out, degraded pipelines, progressive,
+# the sharded join, the shard writer and the range-parallel WKT loader)
 # where data races could actually hide — TSan slows everything ~10x and the
 # single-threaded geometry tests cannot race. The invariants preset turns on
 # the contract macros (STJ_DCHECK*) and the deep ValidateInvariants()

@@ -69,7 +69,10 @@
 // Input files are loaded strictly by default: the first malformed line
 // aborts with a message naming the file, line, and byte offset. With
 // --permissive, bad lines are repaired or skipped (reported to stderr) and
-// the run continues on the clean remainder.
+// the run continues on the clean remainder. --threads also sets the worker
+// count of the WKT load and of the shard writer (0 = all cores), so
+// --threads=1 keeps every stage on one thread; outputs are identical at
+// every count.
 //
 // Exit codes: 0 success; 2 usage error; 3 missing/unreadable/unwritable
 // file; 4 malformed content (WKT parse error, APRIL structural corruption);
@@ -257,12 +260,14 @@ CompressedAprilStore CompressApproximations(
   return cstore;
 }
 
-/// Loads a WKT dataset honouring --permissive; on success prints a summary
-/// of any repairs/skips, on failure prints the precise Status.
+/// Loads a WKT dataset honouring --permissive and --threads; on success
+/// prints a summary of any repairs/skips, on failure prints the precise
+/// Status.
 Status LoadInput(const std::string& path, const std::string& name,
-                 bool permissive, Dataset* out) {
+                 const Flags& flags, Dataset* out) {
   LoadOptions options;
-  options.mode = permissive ? LoadMode::kPermissive : LoadMode::kStrict;
+  options.mode = flags.permissive ? LoadMode::kPermissive : LoadMode::kStrict;
+  options.num_threads = flags.threads;
   LoadReport report;
   Status status = LoadWktDataset(path, name, options, out, &report);
   if (!status.ok()) return status;
@@ -313,7 +318,7 @@ int CmdApril(int argc, char** argv) {
   if (argc < 4) return Usage();
   const Flags flags = ParseFlags(argc, argv, 4);
   Dataset dataset;
-  if (Status st = LoadInput(argv[2], "input", flags.permissive, &dataset);
+  if (Status st = LoadInput(argv[2], "input", flags, &dataset);
       !st.ok()) {
     return FailWith(st);
   }
@@ -533,10 +538,10 @@ int CmdJoin(int argc, char** argv) {
   }
   Dataset r;
   Dataset s;
-  if (Status st = LoadInput(argv[2], "R", flags.permissive, &r); !st.ok()) {
+  if (Status st = LoadInput(argv[2], "R", flags, &r); !st.ok()) {
     return FailWith(st);
   }
-  if (Status st = LoadInput(argv[3], "S", flags.permissive, &s); !st.ok()) {
+  if (Status st = LoadInput(argv[3], "S", flags, &s); !st.ok()) {
     return FailWith(st);
   }
   Box bounds;
@@ -608,7 +613,8 @@ int CmdJoin(int argc, char** argv) {
       ShardWriteStats write_stats;
       Status st = BuildShardSet(flags.shard_dir + sub, dataset.objects,
                                 CompressApproximations(april),
-                                partition_options, &partition, &write_stats);
+                                partition_options, &partition, &write_stats,
+                                flags.threads);
       if (!st.ok()) return st;
       std::fprintf(stderr,
                    "[shard] %s%s: %u tiles, %.2f MB, imbalance %.2f\n",
